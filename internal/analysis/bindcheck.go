@@ -2,9 +2,10 @@
 // goroutine-scoped collectors first.
 //
 // sim.StatsCollector and telemetry.Collector attach to goroutines, not
-// to engines: sim.NewEngine consults the *calling goroutine's* binding
-// when it registers for stats, and telemetry.BoundSampler does the same
-// for series. The worker-pool idiom (DESIGN.md §10, §12) is therefore
+// to engines: sim.NewEngine consults the *calling goroutine's* binding —
+// one registry holding both collectors — when it registers for stats and
+// keeps the telemetry half for telemetry.EngineSampler (which hw.New
+// calls). The worker-pool idiom (DESIGN.md §10, §12) is therefore
 //
 //	bind := sim.InheritStats()
 //	tbind := telemetry.Inherit()
@@ -13,7 +14,7 @@
 //	        defer detach()
 //	        tdetach := tbind()
 //	        defer tdetach()
-//	        ... sim.NewEngine() / telemetry.BoundSampler(...) ...
+//	        ... sim.NewEngine() / hw.New(...) / telemetry.EngineSampler(...) ...
 //	}()
 //
 // Forgetting the bind() does not fail: the engine simply registers with
@@ -24,8 +25,9 @@
 // resolvable, it walks the module call graph from the launched body; if
 // anything reachable calls sim.NewEngine without a sim-side bind
 // (Bind/CollectStats/BindParallelism/InheritStats-bind) anywhere in that
-// same closure, or telemetry.BoundSampler without a telemetry-side bind
-// (Bind/Collect/Inherit-bind), the launch site is reported.
+// same closure, or telemetry.EngineSampler without a telemetry-side bind (the telemetry wrappers Bind/Collect/
+// Inherit-bind, or sim.BindTelemetry they delegate to), the launch site
+// is reported.
 //
 // The check is launch-site scoped on purpose: binds on the spawning
 // goroutine do not carry over (that is the bug), so only code reachable
@@ -42,7 +44,7 @@ package analysis
 // Bindcheck is the goroutine collector-binding analyzer.
 var Bindcheck = &Analyzer{
 	Name: "bindcheck",
-	Doc: "a `go` statement whose goroutine reaches sim.NewEngine or telemetry.BoundSampler must bind the " +
+	Doc: "a `go` statement whose goroutine reaches sim.NewEngine or telemetry.EngineSampler must bind the " +
 		"goroutine-scoped collectors first (sim.InheritStats / telemetry.Inherit; escape: //armvirt:unbound)",
 	Run: runBindcheck,
 }
@@ -76,7 +78,7 @@ func runBindcheck(pass *Pass) error {
 			}
 			if createsSampler && !bindsTel {
 				pass.ReportRange(site.Pos, site.End,
-					"goroutine reaches telemetry.BoundSampler without binding a telemetry collector; "+
+					"goroutine reaches telemetry.EngineSampler without binding a telemetry collector; "+
 						"capture tbind := telemetry.Inherit() before the go statement and call tbind() first in the goroutine (escape: //armvirt:unbound)")
 			}
 		}

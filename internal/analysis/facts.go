@@ -74,8 +74,10 @@ type FuncFacts struct {
 	Contains []NodeID
 
 	// DispatchArgs are the function values this body hands to the sim
-	// engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the
-	// tracer/tap setters): the roots of partitioned-dispatch reachability.
+	// engine's dispatch surface (Engine Go/GoAt/GoOn/At/After/SendTo and
+	// the tracer/tap setters, the explicit-partition forms Proc.SendTo and
+	// Part Go/At/After/SendTo): the roots of partitioned-dispatch
+	// reachability.
 	DispatchArgs []NodeID
 	// GoSites are the `go` statements launched from this body.
 	GoSites []GoSite
@@ -85,13 +87,16 @@ type FuncFacts struct {
 	// BindsSim / BindsTelemetry report that the body attaches the
 	// goroutine-scoped collectors: a call to (*sim.StatsCollector).Bind,
 	// sim.CollectStats, sim.BindParallelism, or the bind function returned
-	// by sim.InheritStats (resp. (*telemetry.Collector).Bind,
-	// telemetry.Collect, or the bind returned by telemetry.Inherit).
+	// by sim.InheritStats (resp. the telemetry wrappers
+	// (*telemetry.Collector).Bind, telemetry.Collect and the bind returned
+	// by telemetry.Inherit, or sim.BindTelemetry, the registry entry they
+	// delegate to).
 	BindsSim       bool
 	BindsTelemetry bool
 	// CreatesEngine / CreatesSampler report a direct call to
-	// sim.NewEngine resp. telemetry.BoundSampler — the two points where a
-	// goroutine's collector binding is consulted.
+	// sim.NewEngine resp. telemetry.EngineSampler. NewEngine is where a
+	// goroutine's binding is consulted; EngineSampler is where its
+	// telemetry half is used, read back from the engine NewEngine built.
 	CreatesEngine  bool
 	CreatesSampler bool
 }
@@ -174,12 +179,18 @@ func (m *Module) FuncsOf(importPath string) []NodeID {
 // dispatchAPIs is the sim engine surface whose function arguments execute
 // inside partitioned dispatch: spawned process bodies, scheduled
 // callbacks, cross-partition messages, and the tracer/tap hooks the
-// engine invokes while dispatching.
+// engine invokes while dispatching. It spans the ambient Engine methods
+// and the explicit-partition handles (a running Proc, an Engine.Part)
+// that replace them inside a multi-partition run.
 var dispatchAPIs = map[string]bool{
 	"Go": true, "GoAt": true, "GoOn": true,
 	"At": true, "After": true, "SendTo": true,
 	"SetTracer": true, "SetProcTap": true, "SetProcTapPart": true,
 }
+
+// dispatchRecvs are the sim types whose dispatchAPIs methods take
+// dispatched function values.
+var dispatchRecvs = map[string]bool{"Engine": true, "Proc": true, "Part": true}
 
 // funcID returns the NodeID for a declared function or method.
 func funcID(fn *types.Func) NodeID { return NodeID(fn.FullName()) }
@@ -409,12 +420,14 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 			ff.CreatesEngine = true
 		case "CollectStats", "BindParallelism":
 			ff.BindsSim = true
+		case "BindTelemetry":
+			ff.BindsTelemetry = true
 		case "Bind":
 			if recvNamed(fn, "StatsCollector") {
 				ff.BindsSim = true
 			}
 		}
-		if dispatchAPIs[fn.Name()] && recvNamed(fn, "Engine") {
+		if dispatchAPIs[fn.Name()] && dispatchRecvs[recvName(fn)] {
 			for _, arg := range call.Args {
 				if tv, ok := info.Types[arg]; ok {
 					if _, isSig := tv.Type.Underlying().(*types.Signature); !isSig {
@@ -433,7 +446,7 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 		}
 	case "telemetry":
 		switch fn.Name() {
-		case "BoundSampler":
+		case "EngineSampler":
 			ff.CreatesSampler = true
 		case "Collect":
 			ff.BindsTelemetry = true
@@ -448,12 +461,20 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 // recvNamed reports whether fn is a method whose receiver's named type is
 // called name.
 func recvNamed(fn *types.Func, name string) bool {
+	return recvName(fn) == name
+}
+
+// recvName returns the name of fn's receiver type ("" for functions and
+// unnamed receivers).
+func recvName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
-	n := namedOf(sig.Recv().Type())
-	return n != nil && n.Obj().Name() == name
+	if n := namedOf(sig.Recv().Type()); n != nil {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // exprFunc resolves an expression used as a value to a declared function

@@ -1,6 +1,6 @@
 // Package bindcheck exercises the collector-binding analyzer: a `go`
 // statement whose goroutine reaches the stand-in sim.NewEngine or
-// telemetry.BoundSampler must bind the goroutine-scoped collectors
+// telemetry.EngineSampler must bind the goroutine-scoped collectors
 // first. The worker-pool idiom, deep binds, engine-free goroutines, and
 // //armvirt:unbound waivers stay silent.
 package bindcheck
@@ -31,8 +31,34 @@ func buildAndRun() {
 
 // BadSampler drops telemetry instead of stats.
 func BadSampler() {
-	go func() { // want `goroutine reaches telemetry.BoundSampler without binding a telemetry collector`
-		_ = telemetry.BoundSampler(8)
+	go func() { // want `goroutine reaches telemetry.EngineSampler without binding a telemetry collector`
+		_ = telemetry.EngineSampler(8)
+	}()
+}
+
+// BadStatsOnly binds stats but not telemetry: the sim-side bind does not
+// cover the telemetry half of the binding, so the machine-style sampler
+// silently records nothing.
+func BadStatsOnly() {
+	bind := sim.InheritStats()
+	go func() { // want `goroutine reaches telemetry.EngineSampler without binding`
+		defer bind()()
+		e := sim.NewEngine()
+		e.Run()
+		_ = telemetry.EngineSampler(8)
+	}()
+}
+
+// GoodRegistryBind binds through the sim registry entry the telemetry
+// wrappers delegate to.
+func GoodRegistryBind(c *telemetry.Collector) {
+	bind := sim.InheritStats()
+	go func() {
+		defer bind()()
+		defer sim.BindTelemetry(c)()
+		e := sim.NewEngine()
+		e.Run()
+		_ = telemetry.EngineSampler(8)
 	}()
 }
 
@@ -48,7 +74,7 @@ func GoodWorker() {
 		defer tdetach()
 		e := sim.NewEngine()
 		e.Run()
-		_ = telemetry.BoundSampler(8)
+		_ = telemetry.EngineSampler(8)
 	}()
 }
 

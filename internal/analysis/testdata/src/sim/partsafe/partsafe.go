@@ -52,6 +52,32 @@ func Host() {
 	hostN++
 }
 
+// Explicit hands callbacks to the explicit-partition forms that replace
+// the ambient engine methods inside a multi-partition run: they are
+// dispatch roots exactly like Engine.At/SendTo.
+func Explicit(e *sim.Engine, p *sim.Proc) {
+	p.SendTo(1, 20, func() {
+		hits++ // want `writes package-level partsafe.hits`
+	})
+	h := e.Part(1)
+	h.At(30, func() {
+		table["at"] = 1 // want `writes package-level partsafe.table`
+	})
+	h.After(5, bump)
+	h.SendTo(2, 20, func() {
+		hits += 2 // want `writes package-level partsafe.hits`
+	})
+	h.Go(func() {
+		table["go"] = 2 // want `writes package-level partsafe.table`
+	})
+	_ = p.Now() + h.Now() // reading clocks hands nothing to dispatch
+}
+
+// bump is dispatch-reachable through h.After above.
+func bump() {
+	hits++ // want `writes package-level partsafe.hits`
+}
+
 // Waive marks deliberately shared, externally synchronized state.
 func Waive(e *sim.Engine) {
 	e.Go(func() {

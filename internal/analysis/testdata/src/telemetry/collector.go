@@ -1,5 +1,5 @@
 // Stand-in goroutine-bound telemetry API for bindcheck: a Collector with
-// Bind, the Inherit/Collect entry points, and BoundSampler — the names
+// Bind, the Inherit/Collect entry points, and EngineSampler — the names
 // and package the analyzer keys on. Kept free of Sampler methods so the
 // nilrecorder expectations in telemetry.go are untouched.
 package telemetry
@@ -19,6 +19,6 @@ func Inherit() func() func() {
 // Collect binds a fresh collector to the calling goroutine.
 func Collect() *Collector { return &Collector{} }
 
-// BoundSampler builds a sampler wired to the calling goroutine's bound
-// collector.
-func BoundSampler(buckets int) *Sampler { return &Sampler{} }
+// EngineSampler builds a sampler wired to the collector bound when an
+// engine was created.
+func EngineSampler(buckets int) *Sampler { return &Sampler{} }

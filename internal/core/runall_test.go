@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // renderAll flattens reports the way armvirt-report's default path does, so
@@ -115,5 +116,25 @@ func BenchmarkRunAll(b *testing.B) {
 				RunAll(context.Background(), j)
 			}
 		})
+	}
+}
+
+// TestRunAllLeaksNoGoroutines: every fiber an experiment leaves parked is
+// released when its engine closes, so a full study returns the process to
+// its starting goroutine count — serial and with a worker pool.
+func TestRunAllLeaksNoGoroutines(t *testing.T) {
+	RunAll(context.Background(), 1) // settle one-time package state
+	for _, par := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		RunAll(context.Background(), par)
+		// Released goroutines and finished pool workers exit just after
+		// signalling; give them a moment to leave the count.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("RunAll(j=%d) leaked %d goroutines", par, after-before)
+		}
 	}
 }

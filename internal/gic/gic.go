@@ -92,26 +92,32 @@ type Distributor struct {
 }
 
 // deliver stamps the delivery for observability and hands it to the sink.
-// It always runs on the target CPU's partition, so the telemetry count
-// lands in that partition's buffer.
-func (d *Distributor) deliver(dv Delivery) {
-	now := d.eng.Now()
+// It runs on the target CPU's partition, named by at, so the telemetry
+// count lands in that partition's buffer.
+func (d *Distributor) deliver(at sim.Part, dv Delivery) {
+	now := at.Now()
 	dv.At = now
 	d.Rec.Emit(now, obs.PhysIRQ, dv.CPU, "", -1, dv.IRQ.Class(), int64(dv.IRQ))
 	d.Tel.Count(now, dv.CPU, telemetry.CtrGICDelivery, 1)
 	d.sink(dv)
 }
 
-// send propagates a delivery to its target CPU after the wire latency,
-// routing it to the CPU's partition on a partitioned engine (SendTo is
-// After on the sender's own partition, so the unpartitioned path is
-// unchanged).
-func (d *Distributor) send(dv Delivery) {
-	if d.PartOf != nil {
-		d.eng.SendTo(d.PartOf(dv.CPU), d.wire, func() { d.deliver(dv) })
-		return
+// send propagates a delivery from partition from to its target CPU after
+// the wire latency. On a partitioned engine the delivery is a
+// cross-partition message to the CPU's partition; otherwise both handles
+// are partition 0 and the send is a local After.
+func (d *Distributor) send(from sim.Part, dv Delivery) {
+	to := d.eng.Part(d.partOf(dv.CPU))
+	from.SendTo(to.ID(), d.wire, func() { d.deliver(to, dv) })
+}
+
+// partOf returns the engine partition CPU cpu lives on (0 when the
+// distributor is not partitioned).
+func (d *Distributor) partOf(cpu int) sim.PartID {
+	if d.PartOf == nil {
+		return 0
 	}
-	d.eng.After(d.wire, func() { d.deliver(dv) })
+	return d.PartOf(cpu)
 }
 
 // NewDistributor creates a distributor for nCPU physical CPUs. Deliveries
@@ -151,28 +157,32 @@ func (d *Distributor) SetTarget(irq IRQ, cpu int) {
 // Target returns the routing target of an SPI (default CPU 0).
 func (d *Distributor) Target(irq IRQ) int { return d.target[irq] }
 
-// SendSGI dispatches a software-generated interrupt (IPI) to a CPU. The
-// sender has already paid its ICC_SGI1R/GICD_SGIR write cost; propagation
-// through the distribution fabric takes the wire latency.
-func (d *Distributor) SendSGI(to int, irq IRQ) {
+// SendSGI dispatches a software-generated interrupt (IPI) from the
+// process p to a CPU. The sender has already paid its ICC_SGI1R/GICD_SGIR
+// write cost; propagation through the distribution fabric takes the wire
+// latency, starting from p's partition.
+func (d *Distributor) SendSGI(p *sim.Proc, to int, irq IRQ) {
 	if irq > LastSGI {
 		panic(fmt.Sprintf("gic: SendSGI with %v (%s)", irq, irq.Class()))
 	}
 	d.checkCPU(to)
-	d.send(Delivery{CPU: to, IRQ: irq})
+	d.send(d.eng.Part(p.Part()), Delivery{CPU: to, IRQ: irq})
 }
 
-// RaisePPI delivers a private peripheral interrupt (e.g. a timer) to its CPU.
+// RaisePPI delivers a private peripheral interrupt (e.g. a timer) to its
+// CPU. The source is the CPU's own peripheral, so the raise happens on
+// the CPU's partition.
 func (d *Distributor) RaisePPI(cpu int, irq IRQ) {
 	if irq < FirstPPI || irq > LastPPI {
 		panic(fmt.Sprintf("gic: RaisePPI with %v (%s)", irq, irq.Class()))
 	}
 	d.checkCPU(cpu)
-	d.send(Delivery{CPU: cpu, IRQ: irq})
+	d.send(d.eng.Part(d.partOf(cpu)), Delivery{CPU: cpu, IRQ: irq})
 }
 
 // RaiseSPI delivers a shared peripheral interrupt (e.g. the NIC) to its
-// configured target CPU if enabled.
+// configured target CPU if enabled. Shared peripherals live on partition
+// 0, so the raise happens there.
 func (d *Distributor) RaiseSPI(irq IRQ) {
 	if irq < FirstSPI {
 		panic(fmt.Sprintf("gic: RaiseSPI with %v (%s)", irq, irq.Class()))
@@ -180,7 +190,7 @@ func (d *Distributor) RaiseSPI(irq IRQ) {
 	if !d.enable[irq] {
 		return
 	}
-	d.send(Delivery{CPU: d.target[irq], IRQ: irq})
+	d.send(d.eng.Part(0), Delivery{CPU: d.target[irq], IRQ: irq})
 }
 
 func (d *Distributor) checkCPU(cpu int) {

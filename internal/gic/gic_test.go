@@ -22,7 +22,10 @@ func TestSGIDeliveryAfterWireLatency(t *testing.T) {
 		got = append(got, del)
 		at = e.Now()
 	})
-	e.After(100, func() { d.SendSGI(2, 3) })
+	e.Go("sender", func(p *sim.Proc) {
+		p.Sleep(100)
+		d.SendSGI(p, 2, 3)
+	})
 	e.Run()
 	if len(got) != 1 || got[0].CPU != 2 || got[0].IRQ != 3 {
 		t.Fatalf("got %v", got)
@@ -59,7 +62,7 @@ func TestSendSGIRejectsNonSGI(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.SendSGI(0, 40)
+	d.SendSGI(nil, 0, 40)
 }
 
 func TestSetTargetRejectsSGIAndBadCPU(t *testing.T) {
@@ -68,7 +71,7 @@ func TestSetTargetRejectsSGIAndBadCPU(t *testing.T) {
 	for _, fn := range []func(){
 		func() { d.SetTarget(3, 0) },
 		func() { d.SetTarget(40, 7) },
-		func() { d.SendSGI(5, 1) },
+		func() { d.SendSGI(nil, 5, 1) },
 	} {
 		func() {
 			defer func() {

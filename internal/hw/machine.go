@@ -138,7 +138,7 @@ func New(cfg Config) *Machine {
 			m.Dist.PartOf = m.PartOf
 		}
 	}
-	if s := telemetry.BoundSampler(cfg.NCPU, cfg.Cost.FreqMHz); s != nil {
+	if s := telemetry.EngineSampler(eng, cfg.NCPU, cfg.Cost.FreqMHz); s != nil {
 		m.SetSampler(s)
 	}
 	return m
@@ -215,28 +215,25 @@ func (m *Machine) SetSampler(s *telemetry.Sampler) {
 	}
 }
 
-// SendIPI dispatches a physical IPI from the current context to a target
-// CPU: the sender pays the dispatch cost; delivery lands in the target's
-// IRQ inbox after the wire latency. On x86 there is no distributor; the
-// LAPIC ICR path is modelled with the same send/wire costs.
+// SendIPI dispatches a physical IPI from process p to a target CPU: the
+// sender pays the dispatch cost; delivery lands in the target's IRQ inbox
+// after the wire latency. On x86 there is no distributor; the LAPIC ICR
+// path is modelled with the same send/wire costs.
 func (m *Machine) SendIPI(p *sim.Proc, to int, irq gic.IRQ) {
 	m.Rec.ChargeCycles(p, "IPI send", int64(m.Cost.IPISend))
 	p.Sleep(sim.Time(m.Cost.IPISend))
 	if m.Arch == cpu.ARM {
-		m.Dist.SendSGI(to, irq)
+		m.Dist.SendSGI(p, to, irq)
 		return
 	}
-	m.Eng.SendTo(m.PartOf(to), sim.Time(m.Cost.IPIWire), func() {
-		now := m.Eng.Now()
-		m.Rec.Emit(now, obs.PhysIRQ, to, "", -1, "IPI", int64(irq))
-		m.Tel.Count(now, to, telemetry.CtrGICDelivery, 1)
-		m.CPUs[to].IRQ.Send(gic.Delivery{CPU: to, IRQ: irq, At: now})
-	})
+	m.sendDirect(m.Eng.Part(p.Part()), to, irq, "IPI")
 }
 
-// RaiseDeviceIRQ injects a device (SPI) interrupt. On ARM it goes through
-// the distributor's routing; on x86 it is delivered directly to the target
-// (modelling an MSI).
+// RaiseDeviceIRQ injects a device (SPI) interrupt. Devices live on
+// partition 0 (the shared partition of a partitioned machine), so the
+// interrupt leaves from there. On ARM it goes through the distributor's
+// routing; on x86 it is delivered directly to the target (modelling an
+// MSI).
 func (m *Machine) RaiseDeviceIRQ(irq gic.IRQ, target int) {
 	if m.Arch == cpu.ARM {
 		m.Dist.Enable(irq)
@@ -244,11 +241,19 @@ func (m *Machine) RaiseDeviceIRQ(irq gic.IRQ, target int) {
 		m.Dist.RaiseSPI(irq)
 		return
 	}
-	m.Eng.SendTo(m.PartOf(target), sim.Time(m.Cost.IPIWire), func() {
-		now := m.Eng.Now()
-		m.Rec.Emit(now, obs.PhysIRQ, target, "", -1, "MSI", int64(irq))
-		m.Tel.Count(now, target, telemetry.CtrGICDelivery, 1)
-		m.CPUs[target].IRQ.Send(gic.Delivery{CPU: target, IRQ: irq, At: now})
+	m.sendDirect(m.Eng.Part(0), target, irq, "MSI")
+}
+
+// sendDirect is the x86 delivery path: irq travels from partition from to
+// CPU to's inbox after the wire latency and is recorded on arrival, on the
+// target's partition.
+func (m *Machine) sendDirect(from sim.Part, to int, irq gic.IRQ, label string) {
+	at := m.Eng.Part(m.PartOf(to))
+	from.SendTo(at.ID(), sim.Time(m.Cost.IPIWire), func() {
+		now := at.Now()
+		m.Rec.Emit(now, obs.PhysIRQ, to, "", -1, label, int64(irq))
+		m.Tel.Count(now, to, telemetry.CtrGICDelivery, 1)
+		m.CPUs[to].IRQ.Send(gic.Delivery{CPU: to, IRQ: irq, At: now})
 	})
 }
 

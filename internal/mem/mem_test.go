@@ -46,6 +46,34 @@ func TestWalkUnmappedReportsPartialLevels(t *testing.T) {
 	}
 }
 
+// TestEmptyTableWalkAndUnmap: a table that never mapped a page has no
+// root node yet, but still walks exactly like an empty radix tree — one
+// level touched, then a fault — and refuses to unmap. The first Map
+// brings the root into existence.
+func TestEmptyTableWalkAndUnmap(t *testing.T) {
+	s2 := NewS2Table(3)
+	for _, ipa := range []IPA{0, 0x1000, 0x7fff_ffff_f000} {
+		if _, _, levels, ok := s2.Walk(ipa); ok || levels != 1 {
+			t.Fatalf("empty Walk(%#x) = levels %d ok %v, want 1 false", uint64(ipa), levels, ok)
+		}
+		if s2.Unmap(ipa) {
+			t.Fatalf("empty Unmap(%#x) = true", uint64(ipa))
+		}
+	}
+	if s2.root != nil {
+		t.Fatal("walks and unmaps allocated the root")
+	}
+	if err := s2.Map(0x1000, 0x2000, PermR); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, levels, ok := s2.Walk(0x1000); !ok || levels != Levels {
+		t.Fatalf("Walk after Map = levels %d ok %v", levels, ok)
+	}
+	if _, _, levels, ok := s2.Walk(0x80_0000_0000); ok || levels != 1 {
+		t.Fatalf("Walk of an unmapped subtree = levels %d ok %v, want 1 false", levels, ok)
+	}
+}
+
 func TestDoubleMapFails(t *testing.T) {
 	s2 := NewS2Table(1)
 	if err := s2.Map(0x1000, 0x80000000, PermR); err != nil {

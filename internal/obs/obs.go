@@ -126,35 +126,33 @@ func (e Event) String() string {
 		int64(e.T), e.Kind, e.PCPU, e.VM, e.VCPU, e.Detail, e.Arg)
 }
 
-// ring is a fixed-capacity circular event buffer: when full, the oldest
-// event is overwritten and counted as dropped.
+// ring is a bounded circular event buffer: it grows by append up to its
+// capacity, so a quiet ring costs only the events it holds; once full,
+// the oldest event is overwritten and counted as dropped.
 type ring struct {
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live event count
+	buf     []Event // live events; oldest at start once the ring is full
+	cap     int
+	start   int // index of the oldest event (0 until the ring wraps)
 	dropped int64
 }
 
-func newRing(capacity int) *ring { return &ring{buf: make([]Event, capacity)} }
+func newRing(capacity int) *ring { return &ring{cap: capacity} }
 
 func (r *ring) push(ev Event) {
-	if r.n == len(r.buf) {
-		r.buf[r.start] = ev
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, ev)
 		return
 	}
-	r.buf[(r.start+r.n)%len(r.buf)] = ev
-	r.n++
+	r.buf[r.start] = ev
+	r.start = (r.start + 1) % r.cap
+	r.dropped++
 }
 
 // events returns the live events oldest-first.
 func (r *ring) events() []Event {
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.start:]...)
+	return append(out, r.buf[:r.start]...)
 }
 
 // DefaultRingCap is the per-CPU ring capacity used when NewRecorder is
@@ -241,7 +239,7 @@ func (r *Recorder) Partition(nparts int, cpuPart []int) {
 	}
 	ringCap := DefaultRingCap
 	if len(r.rings) > 0 {
-		ringCap = len(r.rings[0].buf)
+		ringCap = r.rings[0].cap
 	}
 	r.nparts = nparts
 	r.cpuPart = append([]int(nil), cpuPart...)
@@ -365,7 +363,7 @@ func (r *Recorder) Len() int {
 	}
 	n := 0
 	for _, rg := range r.rings {
-		n += rg.n
+		n += len(rg.buf)
 	}
 	return n
 }
@@ -430,7 +428,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	for i, rg := range r.rings {
-		r.rings[i] = newRing(len(rg.buf))
+		r.rings[i] = newRing(rg.cap)
 	}
 	for p := range r.seqs {
 		r.seqs[p] = 0

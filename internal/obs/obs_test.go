@@ -42,9 +42,9 @@ func TestEmitRouting(t *testing.T) {
 	if r.Total() != 4 || r.Len() != 4 {
 		t.Fatalf("total=%d len=%d, want 4/4", r.Total(), r.Len())
 	}
-	if r.rings[0].n != 1 || r.rings[1].n != 1 || r.rings[2].n != 2 {
+	if len(r.rings[0].buf) != 1 || len(r.rings[1].buf) != 1 || len(r.rings[2].buf) != 2 {
 		t.Fatalf("ring occupancy = %d/%d/%d, want 1/1/2",
-			r.rings[0].n, r.rings[1].n, r.rings[2].n)
+			len(r.rings[0].buf), len(r.rings[1].buf), len(r.rings[2].buf))
 	}
 
 	evs := r.Events()
@@ -73,6 +73,42 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	for i, e := range evs {
 		if e.Arg != int64(6+i) {
 			t.Fatalf("retained wrong window: %v", evs)
+		}
+	}
+}
+
+// TestRingGrowFullWrap walks a ring across its grow -> full -> wrap
+// boundaries, checking after every push that the retained events (oldest
+// first) and the drop count equal a reference model that keeps the last
+// cap pushes — and that a ring holding n < cap events has allocated
+// storage for no more than it needs.
+func TestRingGrowFullWrap(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 64} {
+		r := newRing(capacity)
+		var all []Event
+		for i := 0; i < 3*capacity+2; i++ {
+			ev := Event{T: sim.Time(i), Arg: int64(i)}
+			r.push(ev)
+			all = append(all, ev)
+			want := all
+			if len(want) > capacity {
+				want = want[len(want)-capacity:]
+			}
+			got := r.events()
+			if len(got) != len(want) {
+				t.Fatalf("cap %d push %d: %d events, want %d", capacity, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("cap %d push %d: events %v, want %v", capacity, i, got, want)
+				}
+			}
+			if wantDrop := int64(len(all) - len(want)); r.dropped != wantDrop {
+				t.Fatalf("cap %d push %d: dropped %d, want %d", capacity, i, r.dropped, wantDrop)
+			}
+			if len(all) < capacity && cap(r.buf) > 2*len(all)+8 {
+				t.Fatalf("cap %d push %d: preallocated %d slots for %d events", capacity, i, cap(r.buf), len(all))
+			}
 		}
 	}
 }

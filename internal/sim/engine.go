@@ -16,12 +16,16 @@
 // Processes advance time with Proc.Sleep, exchange data through Queue, and
 // coordinate through Cond and Resource. Plain callbacks can be scheduled
 // with Engine.At; callbacks run inline in the engine and must not block.
+//
+// Partition context is explicit: code running on a multi-partition engine
+// names its partition through the handle it already holds — the running
+// *Proc or an Engine.Part handle — never through the calling goroutine.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -184,14 +188,18 @@ type Engine struct {
 	// the parallelism bound to the creating goroutine, see
 	// BindParallelism). Only meaningful on multi-partition engines.
 	workers int
-	// shardOf maps goroutine id -> the shard it is executing (multi
-	// mode only): fiber goroutines for life, window workers per window.
-	shardOf sync.Map
+	// tel is the telemetry collector bound to the creating goroutine
+	// (BindTelemetry), resolved once by NewEngine.
+	tel any
 	// stopAll requests a full stop at the next quantum barrier.
 	stopAll atomic.Bool
-	// inRun is true while Run/RunUntil is executing (multi mode uses it
-	// to distinguish setup-time SendTo/GoOn from run-time calls).
+	// inRun is true while Run/RunUntil is executing. On a multi-partition
+	// engine it separates setup-time calls, which may use the ambient
+	// Engine methods, from run-time calls, which must name their
+	// partition (Proc, Part).
 	inRun bool
+	// closed is set by Close; the engine accepts no further work.
+	closed bool
 
 	tracer      func(t Time, what string)
 	procTap     func(t Time, what, name string)
@@ -199,46 +207,53 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero, an empty queue, and
-// a single partition. If a StatsCollector is bound to the calling
-// goroutine (see CollectStats), the engine registers with it; the worker
-// count for multi-partition runs is taken from the goroutine's bound
-// parallelism (BindParallelism), defaulting to 1.
+// a single partition. It consults the calling goroutine's binding once
+// (and not at all when no goroutine is bound): a bound StatsCollector
+// (CollectStats) registers the engine, the bound parallelism
+// (BindParallelism, default 1) sets the worker count for multi-partition
+// runs, and a bound telemetry collector is kept for Telemetry.
 func NewEngine() *Engine {
-	e := &Engine{workers: BoundParallelism()}
+	b := currentBinding()
+	e := &Engine{workers: b.parallelism(), tel: b.tel}
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
 	e.root.done = make(chan struct{}, 1)
 	e.root.procs = make(map[*Proc]struct{})
 	e.parts = []*shard{&e.root}
-	attachToBoundCollector(e)
+	if b.col != nil {
+		b.col.attach(e)
+	}
 	return e
 }
 
-// cur resolves the shard the calling goroutine is executing. On a
-// single-partition engine this is always the root shard; on a
-// multi-partition engine fibers and window workers are registered in
-// shardOf, and unregistered goroutines (setup code, the Run caller)
-// resolve to partition 0.
-func (e *Engine) cur() *shard {
-	if !e.multi {
-		return &e.root
-	}
-	if v, ok := e.shardOf.Load(goid()); ok {
-		return v.(*shard)
+// Telemetry returns the telemetry collector that was bound to the
+// goroutine that created the engine (see BindTelemetry), or nil.
+func (e *Engine) Telemetry() any { return e.tel }
+
+// cur returns the shard an ambient Engine call (At, After, Go, GoAt,
+// Stop, SendTo) acts on: the root shard. A running multi-partition engine
+// has no ambient partition — the caller must name it — so there cur
+// panics, pointing at the explicit form. The single-partition path tests
+// only e.multi, exactly as before partitions existed.
+func (e *Engine) cur(op, explicit string) *shard {
+	if e.multi && e.inRun {
+		panic(fmt.Sprintf("sim: Engine.%s on a running multi-partition engine is ambiguous; use %s", op, explicit))
 	}
 	return &e.root
 }
 
-// Now returns the current virtual time: the calling context's partition
-// clock while the simulation is running, or the furthest partition clock
-// (the machine's elapsed time) when called from outside.
+// Now returns the current virtual time. On a multi-partition engine it is
+// the furthest partition clock (the machine's elapsed time), and it may
+// only be called while the engine is not running: code inside the
+// simulation reads its own partition's clock with Proc.Now or
+// Engine.Part(id).Now.
 func (e *Engine) Now() Time {
 	if !e.multi {
 		return e.root.now
 	}
-	if v, ok := e.shardOf.Load(goid()); ok {
-		return v.(*shard).now
+	if e.inRun {
+		panic("sim: Engine.Now on a running multi-partition engine is ambiguous; use Proc.Now or Engine.Part(id).Now")
 	}
 	var t Time
 	for _, s := range e.parts {
@@ -298,15 +313,15 @@ func (s *shard) at(t Time, fn func()) {
 	s.noteHeapDepth()
 }
 
-// At schedules fn to run at absolute time t (clamped to now) on the
-// calling context's partition. fn executes inline in the engine loop and
-// must not block or park.
-func (e *Engine) At(t Time, fn func()) { e.cur().at(t, fn) }
+// At schedules fn to run at absolute time t (clamped to now). fn executes
+// inline in the engine loop and must not block or park. On a
+// multi-partition engine At targets partition 0 and is for setup only;
+// while running, use Engine.Part(id).At.
+func (e *Engine) At(t Time, fn func()) { e.cur("At", "Engine.Part(id).At").at(t, fn) }
 
-// After schedules fn to run d cycles from now on the calling context's
-// partition.
+// After schedules fn to run d cycles from now, with At's partition rules.
 func (e *Engine) After(d Time, fn func()) {
-	s := e.cur()
+	s := e.cur("After", "Engine.Part(id).After")
 	s.at(s.now+d, fn)
 }
 
@@ -331,16 +346,12 @@ func (s *shard) noteHeapDepth() {
 	}
 }
 
-// Stop makes Run return after the current event completes (on a
-// multi-partition engine: after the current quantum window completes, so
-// the stop point is deterministic). Pending events are retained; Run may
-// be called again to continue.
+// Stop makes Run return after the current event completes. Pending
+// events are retained; Run may be called again to continue. On a running
+// multi-partition engine, stop through the partition instead:
+// Engine.Part(id).Stop.
 func (e *Engine) Stop() {
-	s := e.cur()
-	s.stopped = true
-	if e.multi {
-		e.stopAll.Store(true)
-	}
+	e.cur("Stop", "Engine.Part(id).Stop").stopped = true
 }
 
 // loop outcomes.
@@ -389,9 +400,9 @@ func (s *shard) loop() int {
 	}
 }
 
-// Run processes events until the queue is empty or Stop is called. Parked
-// processes whose wakeups are never scheduled are simply abandoned (their
-// goroutines are unblocked and discarded at no cost to determinism). On a
+// Run processes events until the queue is empty or Stop is called.
+// Processes still parked when Run returns keep their goroutines blocked —
+// a later Run may resume them — until Close releases them. On a
 // multi-partition engine Run executes the quantum algorithm (see
 // partition.go) — same results, any worker count.
 func (e *Engine) Run() {
@@ -462,28 +473,63 @@ func (e *Engine) ParkedProcs() []string {
 	return names
 }
 
+// Close ends the engine's life. Every process still registered — parked
+// on a wakeup no event will deliver, or spawned and never started — exits
+// its goroutine through runtime.Goexit, so an abandoned fiber stops
+// pinning its stack and the machine graph it references. Processes are
+// released one at a time in spawn order and their deferred calls run
+// (they must not park). Pending events are discarded. Close must not be
+// called while the engine is running; calling it twice is a no-op, and
+// an engine that was never run is fine. Stats, ParkedProcs (now empty)
+// and Now stay readable afterwards.
+func (e *Engine) Close() {
+	if e.inRun {
+		panic("sim: Close while the engine is running")
+	}
+	if e.closed {
+		return
+	}
+	e.closed = true
+	for _, s := range e.parts {
+		procs := make([]*Proc, 0, len(s.procs))
+		for p := range s.procs {
+			procs = append(procs, p)
+		}
+		sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
+		for _, p := range procs {
+			delete(s.procs, p)
+			p.killed = true
+			p.wake <- struct{}{}
+			<-s.done
+		}
+		s.queue = nil
+		s.outbox = nil
+	}
+}
+
 // spawnOn creates the process record and its goroutine on shard s,
 // initially parked waiting for the first dispatch at time t.
 func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Proc {
+	if e.closed {
+		panic("sim: spawn on a closed engine")
+	}
+	s.statSpawned++
 	p := &Proc{
 		eng:  e,
 		sh:   s,
+		id:   s.statSpawned,
 		name: name,
 		wake: make(chan struct{}, 1),
 	}
 	p.w.p = p
 	s.procs[p] = struct{}{}
-	s.statSpawned++
 	go func() {
-		if e.multi {
-			// Fibers are pinned to their shard for life; registering the
-			// goroutine once lets Engine.At/After/Now resolve the right
-			// partition from inside the body.
-			g := goid()
-			e.shardOf.Store(g, s)
-			defer e.shardOf.Delete(g)
-		}
-		<-p.wake // wait for first dispatch
+		defer func() {
+			if p.killed {
+				s.done <- struct{}{} // tell Close the goroutine is gone
+			}
+		}()
+		p.await() // wait for first dispatch
 		s.noteProc("start", p)
 		body(p)
 		s.noteProc("exit", p)
@@ -500,18 +546,19 @@ func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Pro
 	return p
 }
 
-// Go spawns a new process that begins executing body at the current time,
-// on the calling context's partition. The body runs on its own goroutine
-// but is scheduled cooperatively: it only executes while the engine has
-// handed it control.
+// Go spawns a new process that begins executing body at the current time.
+// The body runs on its own goroutine but is scheduled cooperatively: it
+// only executes while the engine has handed it control. On a
+// multi-partition engine Go spawns on partition 0 and is for setup only
+// (see GoOn); while running, use Engine.Part(id).Go.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	s := e.cur()
+	s := e.cur("Go", "Engine.Part(id).Go")
 	return e.spawnOn(s, s.now, name, body)
 }
 
 // GoAt is Go with a deferred start time.
 func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnOn(e.cur(), t, name, body)
+	return e.spawnOn(e.cur("GoAt", "Engine.Part(id).Go"), t, name, body)
 }
 
 // Proc is a simulated process. All methods must be called from the process's
@@ -520,11 +567,13 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 type Proc struct {
 	eng    *Engine
 	sh     *shard
+	id     int64 // spawn order on its shard (Close releases in this order)
 	name   string
 	wake   chan struct{}
 	w      waiter // reusable wakeup token; armed per park, never reallocated
 	parked bool
 	dead   bool
+	killed bool // set by Close before the final wake
 }
 
 // Name returns the name given at spawn time.
@@ -540,6 +589,20 @@ func (p *Proc) Part() PartID { return p.sh.id }
 // Now returns the current virtual time of the process's partition.
 func (p *Proc) Now() Time { return p.sh.now }
 
+// SendTo schedules fn on partition part, d cycles from the process's
+// current time, with Engine.Part(p.Part()).SendTo's rules.
+func (p *Proc) SendTo(part PartID, d Time, fn func()) { p.sh.sendTo(part, d, fn) }
+
+// await blocks until the engine hands the process control. A wake sent by
+// Close instead ends the goroutine; the flag is read after the receive,
+// so the resume path costs no more than the bare channel operation.
+func (p *Proc) await() {
+	<-p.wake
+	if p.killed {
+		runtime.Goexit()
+	}
+}
+
 // park gives control back to the engine until some event unparks p. The
 // parking goroutine continues running the shard loop itself: if the next
 // wakeup is its own it simply returns, otherwise it hands the loop to the
@@ -553,7 +616,7 @@ func (p *Proc) park() {
 	case loopIdle:
 		p.sh.done <- struct{}{}
 	}
-	<-p.wake
+	p.await()
 }
 
 // Sleep advances the process's local view of time by d cycles. Other events

@@ -22,12 +22,20 @@
 // (or spawn-time GoOn). Queues, conds, resources, and waiter wakeups are
 // partition-local; sharing them across partitions is a model bug that the
 // race detector flags in tests.
+//
+// Partition context: while the engine runs, every partition-local call
+// names its partition through a handle the caller already holds — the
+// running *Proc (Proc.Now, Proc.SendTo) or an Engine.Part handle (Now,
+// At, After, SendTo, Go, Stop). The ambient Engine methods have no
+// partition to act on then and panic, naming the explicit form; no
+// goroutine is ever registered or looked up.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -86,43 +94,99 @@ func (e *Engine) SetWorkers(n int) {
 func (e *Engine) Workers() int { return e.workers }
 
 // GoOn spawns a process on a specific partition at that partition's
-// current time. During a run, processes may only spawn onto their own
-// partition (use SendTo to request a remote spawn after the lookahead
-// delay); at setup time any partition is fair game.
+// current time. It is a setup-time call on a multi-partition engine: a
+// running partition spawns onto itself with Engine.Part(id).Go and asks
+// another partition to spawn with SendTo after the lookahead delay.
 func (e *Engine) GoOn(part PartID, name string, body func(p *Proc)) *Proc {
-	s := e.parts[part]
-	if e.inRun && e.multi && e.cur() != s {
-		panic(fmt.Sprintf("sim: GoOn(%d) from partition %d while running; cross-partition spawns must go through SendTo", part, e.cur().id))
+	if e.inRun && e.multi {
+		panic(fmt.Sprintf("sim: GoOn(%d) while a multi-partition engine is running; spawn on the running partition with Engine.Part(id).Go, or across partitions via SendTo", part))
 	}
+	s := e.parts[part]
 	return e.spawnOn(s, s.now, name, body)
 }
 
-// SendTo schedules fn to run on the given partition d cycles from the
-// caller's current time. On the caller's own partition (or a
-// single-partition engine) it is exactly After. Across partitions the
-// delay must be >= the engine's lookahead — that bound is what makes the
-// quantum windows safe — and the message is buffered in the sender's
-// outbox until the next barrier, where all messages are applied in the
-// deterministic (at, sender, send-seq) order.
+// SendTo schedules fn to run on the given partition d cycles from now.
+// On a single-partition engine it is exactly After; on a multi-partition
+// engine it is a setup-time call that lands directly on the target
+// partition. While a multi-partition engine runs, the sender must be
+// named: Proc.SendTo or Engine.Part(id).SendTo.
 func (e *Engine) SendTo(part PartID, d Time, fn func()) {
-	src := e.cur()
+	e.cur("SendTo", "Proc.SendTo or Engine.Part(id).SendTo").sendTo(part, d, fn)
+}
+
+// sendTo schedules fn on partition part, d cycles from this shard's
+// current time. On this shard (or before the engine runs) it is a plain
+// local schedule. Across partitions the delay must be >= the engine's
+// lookahead — that bound is what makes the quantum windows safe — and the
+// message is buffered in this shard's outbox until the next barrier,
+// where all messages are applied in the deterministic (at, sender,
+// send-seq) order.
+func (s *shard) sendTo(part PartID, d Time, fn func()) {
+	e := s.eng
 	dst := e.parts[part]
-	if dst == src || !e.inRun {
+	if dst == s || !e.inRun {
 		dst.at(dst.now+d, fn)
 		return
 	}
 	if d < e.lookahead {
-		panic(fmt.Sprintf("sim: SendTo delay %d below lookahead %d (partition %d -> %d)", d, e.lookahead, src.id, part))
+		panic(fmt.Sprintf("sim: SendTo delay %d below lookahead %d (partition %d -> %d)", d, e.lookahead, s.id, part))
 	}
-	src.sendSeq++
-	src.statMsgs++
-	src.outbox = append(src.outbox, xmsg{
-		at:   src.now + d,
-		from: src.id,
-		seq:  src.sendSeq,
+	s.sendSeq++
+	s.statMsgs++
+	s.outbox = append(s.outbox, xmsg{
+		at:   s.now + d,
+		from: s.id,
+		seq:  s.sendSeq,
 		to:   part,
 		fn:   fn,
 	})
+}
+
+// Part is an explicit handle on one partition: the way code running on a
+// multi-partition engine — a callback, a device model, anything without a
+// *Proc in hand — names the partition it executes on. Handles are cheap
+// values; obtain one with Engine.Part. While the engine runs, a handle
+// may only be used from code executing on its own partition (a callback
+// or process there); at setup any handle is fair game. On a
+// single-partition engine Part(0) behaves exactly like the ambient Engine
+// methods.
+type Part struct{ s *shard }
+
+// Part returns the handle for partition id.
+func (e *Engine) Part(id PartID) Part { return Part{e.parts[id]} }
+
+// ID returns the partition's id.
+func (h Part) ID() PartID { return h.s.id }
+
+// Now returns the partition's clock.
+func (h Part) Now() Time { return h.s.now }
+
+// At schedules fn on the partition at absolute time t (clamped to now).
+func (h Part) At(t Time, fn func()) { h.s.at(t, fn) }
+
+// After schedules fn on the partition d cycles from its current time.
+func (h Part) After(d Time, fn func()) { h.s.at(h.s.now+d, fn) }
+
+// SendTo schedules fn on partition part, d cycles from this partition's
+// current time: a local schedule when part is this partition, otherwise
+// a cross-partition message with delay >= the engine's lookahead,
+// buffered until the next quantum barrier.
+func (h Part) SendTo(part PartID, d Time, fn func()) { h.s.sendTo(part, d, fn) }
+
+// Go spawns a process on the partition at its current time.
+func (h Part) Go(name string, body func(p *Proc)) *Proc {
+	return h.s.eng.spawnOn(h.s, h.s.now, name, body)
+}
+
+// Stop halts the engine: a single-partition engine after the current
+// event, a multi-partition engine at the end of the current quantum
+// window, so the stop point is deterministic. Pending events are
+// retained; Run may be called again to continue.
+func (h Part) Stop() {
+	h.s.stopped = true
+	if h.s.eng.multi {
+		h.s.eng.stopAll.Store(true)
+	}
 }
 
 // runQuanta is the multi-partition Run/RunUntil body: lookahead-bounded
@@ -206,26 +270,24 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 }
 
 // window dispatches one quantum window on the shard: the sequential loop
-// bounded by limit (inclusive). The calling goroutine registers as the
-// shard's executor so callbacks resolve Engine.At/Now to this partition,
-// and unregisters when the window's continuation chain completes.
+// bounded by limit (inclusive). Nothing is registered for the calling
+// goroutine: code inside the window names its partition through its Proc
+// or Part handle.
 func (s *shard) window(limit Time) {
-	g := goid()
-	s.eng.shardOf.Store(g, s)
 	s.hasLim, s.limit = true, limit
 	s.running = nil
 	if s.loop() == loopHandoff {
 		<-s.done
 	}
 	s.hasLim = false
-	s.eng.shardOf.Delete(g)
 }
 
 // drainOutboxes applies every buffered cross-partition message at the
 // barrier, in the total order (at, sender partition, sender send-seq).
-// The scratch slice is reused across barriers. Conservative invariant:
-// every message timestamp is at or beyond the window that just ran, so
-// it can never be earlier than its destination's clock.
+// The scratch slice is reused across barriers and the sort allocates
+// nothing, so a barrier costs no allocation in steady state. Conservative
+// invariant: every message timestamp is at or beyond the window that just
+// ran, so it can never be earlier than its destination's clock.
 func (e *Engine) drainOutboxes(scratch []xmsg) []xmsg {
 	msgs := scratch[:0]
 	for _, s := range e.parts {
@@ -241,15 +303,14 @@ func (e *Engine) drainOutboxes(scratch []xmsg) []xmsg {
 	if len(msgs) == 0 {
 		return msgs
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		a, b := msgs[i], msgs[j]
-		if a.at != b.at {
-			return a.at < b.at
+	slices.SortFunc(msgs, func(a, b xmsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if a.from != b.from {
-			return a.from < b.from
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range msgs {
 		m := &msgs[i]

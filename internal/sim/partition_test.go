@@ -68,7 +68,7 @@ func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]str
 					p.Sleep(st.sleep)
 					logs[li] = append(logs[li], fmt.Sprintf("p%d chat%d step%d @%d", li, f, s, p.Now()))
 					to, val := st.to, st.val
-					e.SendTo(to, st.delay, func() { inboxes[to].Send(val) })
+					p.SendTo(to, st.delay, func() { inboxes[to].Send(val) })
 				}
 			})
 		}
@@ -213,7 +213,7 @@ func TestSendToBelowLookaheadPanics(t *testing.T) {
 	e.GoOn(p1, "bad", func(p *Proc) {
 		defer func() { got = recover() }()
 		p.Sleep(1)
-		e.SendTo(p2, 50, func() {})
+		p.SendTo(p2, 50, func() {})
 	})
 	e.Run()
 	if got == nil {
@@ -232,7 +232,7 @@ func TestSendToOwnPartitionIsAfter(t *testing.T) {
 	var at Time
 	e.GoOn(p1, "self", func(p *Proc) {
 		p.Sleep(5)
-		e.SendTo(p1, 3, func() { at = e.Now() })
+		p.SendTo(p1, 3, func() { at = e.Part(p1).Now() })
 		p.Sleep(50)
 	})
 	e.Run()
@@ -268,7 +268,7 @@ func TestPartitionedStop(t *testing.T) {
 			p.Sleep(5)
 			steps++
 			if steps == 3 {
-				e.Stop()
+				e.Part(p.Part()).Stop()
 				// The fiber parks; the engine halts at the barrier with
 				// its wakeup still pending, so Run resumes it.
 			}

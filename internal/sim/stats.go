@@ -13,11 +13,17 @@
 // bound collector. Worker pools that fan an operation out propagate the
 // binding with InheritStats, so collection survives the parallel runners
 // (core.RunAll, bench.RunPhaseBreakdowns) unchanged.
+//
+// The goroutine registry here is the module's only one: the engine
+// parallelism and the telemetry collector (BindTelemetry) live in the
+// same binding, NewEngine resolves it once, and everything built on the
+// engine reads it from there.
 package sim
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // EngineStats is a deterministic snapshot of engine work counters. For a
@@ -174,56 +180,92 @@ func (c *StatsCollector) PerEngine() []EngineStats {
 }
 
 // binding is the per-goroutine configuration engines inherit at NewEngine:
-// the stats collector they register with and the window-dispatch
-// parallelism multi-partition engines run at. Both halves are scoped the
-// same way (a detach restores the previous value) and propagate together
-// through InheritStats.
+// the stats collector they register with, the window-dispatch parallelism
+// multi-partition engines run at, and the telemetry collector machines
+// sample into (opaque here; see BindTelemetry). Every part is scoped the
+// same way (a detach restores the previous value).
 type binding struct {
 	col *StatsCollector
 	par int // 0 = unset (engines default to 1 worker)
+	tel any
 }
 
-// boundCollectors maps goroutine id -> the binding attached to it.
-// Bindings are strictly scoped (Bind/BindParallelism return the detach
-// that restores the previous binding), so the map stays small: one entry
-// per goroutine currently inside a bound region.
-var boundCollectors struct {
-	mu sync.Mutex
-	m  map[uint64]binding
+// parallelism returns the bound worker count (1 when unset).
+func (b binding) parallelism() int {
+	if b.par > 0 {
+		return b.par
+	}
+	return 1
+}
+
+// registry maps goroutine id -> the binding attached to it: the module's
+// one goroutine-keyed table. Bindings are strictly scoped (every bind
+// returns the detach that restores the previous binding), so the map
+// stays small: one entry per goroutine currently inside a bound region.
+// live mirrors len(m), so a lookup while nothing is bound anywhere costs
+// one atomic load and no goroutine-id parse.
+var registry struct {
+	mu   sync.Mutex
+	m    map[uint64]binding
+	live atomic.Int64
 }
 
 // setBinding installs b for goroutine g and returns a detach restoring the
 // previous state. Callers hold no lock.
 func setBinding(g uint64, b binding) (detach func()) {
-	boundCollectors.mu.Lock()
-	if boundCollectors.m == nil {
-		boundCollectors.m = make(map[uint64]binding)
+	registry.mu.Lock()
+	if registry.m == nil {
+		registry.m = make(map[uint64]binding)
 	}
-	prev, hadPrev := boundCollectors.m[g]
-	boundCollectors.m[g] = b
-	boundCollectors.mu.Unlock()
+	prev, hadPrev := registry.m[g]
+	registry.m[g] = b
+	registry.live.Store(int64(len(registry.m)))
+	registry.mu.Unlock()
 	return func() {
-		boundCollectors.mu.Lock()
+		registry.mu.Lock()
 		if hadPrev {
-			boundCollectors.m[g] = prev
+			registry.m[g] = prev
 		} else {
-			delete(boundCollectors.m, g)
+			delete(registry.m, g)
 		}
-		boundCollectors.mu.Unlock()
+		registry.live.Store(int64(len(registry.m)))
+		registry.mu.Unlock()
 	}
 }
 
 // getBinding returns the binding attached to goroutine g (zero if none).
 func getBinding(g uint64) binding {
-	boundCollectors.mu.Lock()
-	b := boundCollectors.m[g]
-	boundCollectors.mu.Unlock()
+	registry.mu.Lock()
+	b := registry.m[g]
+	registry.mu.Unlock()
 	return b
 }
 
+// currentBinding returns the calling goroutine's binding. While no
+// goroutine is bound it returns the zero binding without identifying the
+// caller: a goroutine's own binding, once set, keeps live above zero
+// until its detach, so the shortcut never hides it.
+func currentBinding() binding {
+	if registry.live.Load() == 0 {
+		return binding{}
+	}
+	return getBinding(goid())
+}
+
+// rebind applies edit to the calling goroutine's binding and installs the
+// result; the returned detach restores the previous binding.
+func rebind(edit func(*binding)) (detach func()) {
+	g := goid()
+	b := getBinding(g)
+	edit(&b)
+	return setBinding(g, b)
+}
+
 // goid returns the calling goroutine's id, parsed from the runtime.Stack
-// header ("goroutine N [...]"). The id never reaches simulation output —
-// it is purely a registry key — so determinism is unaffected.
+// header ("goroutine N [...]"). It is called only when a binding is set,
+// captured or resolved — once per bind and at most once per NewEngine —
+// never on an engine's event, window or spawn path. The id never reaches
+// simulation output; it is purely a registry key.
 func goid() uint64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
@@ -238,14 +280,6 @@ func goid() uint64 {
 	return id
 }
 
-// attachToBoundCollector registers e with the collector bound to the
-// calling goroutine, if any. Called by NewEngine.
-func attachToBoundCollector(e *Engine) {
-	if c := getBinding(goid()).col; c != nil {
-		c.attach(e)
-	}
-}
-
 // Bind attaches c to the calling goroutine: every NewEngine on this
 // goroutine registers with c until the returned detach runs. Bindings
 // nest; detach restores the previous one (the goroutine's bound
@@ -255,10 +289,7 @@ func (c *StatsCollector) Bind() (detach func()) {
 	if c == nil {
 		return func() {}
 	}
-	g := goid()
-	b := getBinding(g)
-	b.col = c
-	return setBinding(g, b)
+	return rebind(func(b *binding) { b.col = c })
 }
 
 // BindParallelism binds an engine-parallelism level to the calling
@@ -272,28 +303,36 @@ func BindParallelism(n int) (detach func()) {
 	if n < 1 {
 		n = 1
 	}
-	g := goid()
-	b := getBinding(g)
-	b.par = n
-	return setBinding(g, b)
+	return rebind(func(b *binding) { b.par = n })
 }
 
 // BoundParallelism returns the engine-parallelism level bound to the
 // calling goroutine (1 when unbound).
-func BoundParallelism() int {
-	if p := getBinding(goid()).par; p > 0 {
-		return p
+func BoundParallelism() int { return currentBinding().parallelism() }
+
+// BindTelemetry attaches a telemetry collector to the calling goroutine:
+// every NewEngine on it until the returned detach runs keeps v, readable
+// through Engine.Telemetry. sim never looks inside v; the telemetry
+// package's Bind, Inherit and Collect are the typed front end, and this
+// shared registry is what lets one lookup per engine serve both. A nil v
+// binds nothing and returns a no-op detach.
+func BindTelemetry(v any) (detach func()) {
+	if v == nil {
+		return func() {}
 	}
-	return 1
+	return rebind(func(b *binding) { b.tel = v })
 }
 
-// InheritStats captures the calling goroutine's binding — the stats
-// collector and the bound engine parallelism — and returns a bind
-// function for a spawned worker goroutine to call at its top; bind
-// returns the worker's detach. With nothing bound, both are no-ops.
-// Worker pools use this so engines created on their workers still
-// register with the spawning request's collector and run at its
-// parallelism:
+// BoundTelemetry returns the telemetry collector bound to the calling
+// goroutine (nil when none).
+func BoundTelemetry() any { return currentBinding().tel }
+
+// InheritStats captures the calling goroutine's stats collector and bound
+// engine parallelism and returns a bind function for a spawned worker
+// goroutine to call at its top; bind returns the worker's detach. With
+// nothing bound, both are no-ops. Worker pools use this so engines
+// created on their workers still register with the spawning request's
+// collector and run at its parallelism:
 //
 //	bind := sim.InheritStats()
 //	go func() {
@@ -302,12 +341,13 @@ func BoundParallelism() int {
 //		...
 //	}()
 func InheritStats() (bind func() (detach func())) {
-	b := getBinding(goid())
+	cur := currentBinding()
+	col, par := cur.col, cur.par
 	return func() func() {
-		if b == (binding{}) {
+		if col == nil && par == 0 {
 			return func() {}
 		}
-		return setBinding(goid(), b)
+		return rebind(func(b *binding) { b.col, b.par = col, par })
 	}
 }
 

@@ -1,14 +1,14 @@
 // Goroutine-scoped sampler binding, mirroring sim's StatsCollector
 // discipline: a Collector bound to a goroutine receives a fresh Sampler
 // from every machine built on that goroutine (hw.New consults
-// BoundSampler), and worker pools propagate the binding with Inherit so
+// EngineSampler), and worker pools propagate the binding with Inherit so
 // collection survives the parallel runners (core.RunAll,
-// bench.RunPhaseBreakdowns) unchanged. The goroutine id is purely a
-// registry key and never reaches simulation output.
+// bench.RunPhaseBreakdowns) unchanged. The binding is stored in sim's
+// goroutine registry next to the stats collector, so an engine resolves
+// both with one lookup and never reaches simulation output.
 package telemetry
 
 import (
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -97,88 +97,39 @@ func (c *Collector) SortedSeries() []Series {
 	return sorted
 }
 
-// bound maps goroutine id -> the collector bound to it. Bindings are
-// strictly scoped (Bind returns the detach restoring the previous value),
-// so the map stays small.
-var bound struct {
-	mu sync.Mutex
-	m  map[uint64]*Collector
-}
-
-// goid returns the calling goroutine's id, parsed from the runtime.Stack
-// header. Registry key only; never part of simulation output.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, ch := range buf[prefix:n] {
-		if ch < '0' || ch > '9' {
-			break
-		}
-		id = id*10 + uint64(ch-'0')
-	}
-	return id
-}
-
-func setBound(g uint64, c *Collector) (detach func()) {
-	bound.mu.Lock()
-	if bound.m == nil {
-		bound.m = make(map[uint64]*Collector)
-	}
-	prev, hadPrev := bound.m[g]
-	if c == nil {
-		delete(bound.m, g)
-	} else {
-		bound.m[g] = c
-	}
-	bound.mu.Unlock()
-	return func() {
-		bound.mu.Lock()
-		if hadPrev {
-			bound.m[g] = prev
-		} else {
-			delete(bound.m, g)
-		}
-		bound.mu.Unlock()
-	}
-}
-
-func getBound(g uint64) *Collector {
-	bound.mu.Lock()
-	c := bound.m[g]
-	bound.mu.Unlock()
-	return c
-}
-
 // Bind attaches c to the calling goroutine: every machine built on it
-// (hw.New -> BoundSampler) receives a sampler registered with c, until the
-// returned detach runs. Bindings nest; a nil receiver binds nothing.
+// (hw.New -> EngineSampler) receives a sampler registered with c, until
+// the returned detach runs. Bindings nest; a nil receiver binds nothing.
+// The binding lives in sim's goroutine registry (sim.BindTelemetry), so
+// NewEngine resolves it in the same lookup as the stats collector.
 func (c *Collector) Bind() (detach func()) {
 	if c == nil {
 		return func() {}
 	}
-	return setBound(goid(), c)
+	return sim.BindTelemetry(c)
 }
 
 // Inherit captures the calling goroutine's collector binding and returns a
 // bind function for a spawned worker goroutine, exactly like
 // sim.InheritStats. With nothing bound, both are no-ops.
 func Inherit() (bind func() (detach func())) {
-	c := getBound(goid())
+	c, _ := sim.BoundTelemetry().(*Collector)
 	return func() func() {
 		if c == nil {
 			return func() {}
 		}
-		return setBound(goid(), c)
+		return sim.BindTelemetry(c)
 	}
 }
 
-// BoundSampler returns a fresh sampler from the collector bound to the
-// calling goroutine (nil — a valid no-op sampler — when none is bound).
-// hw.New calls this for every machine it builds.
-func BoundSampler(ncpu, freqMHz int) *Sampler {
-	return getBound(goid()).NewSampler(ncpu, freqMHz)
+// EngineSampler returns a fresh sampler from the collector that was bound
+// to the goroutine that created eng (nil — a valid no-op sampler — when
+// none was). hw.New calls this for every machine it builds: sim.NewEngine
+// resolved the binding once, so building a machine does no further
+// goroutine lookup.
+func EngineSampler(eng *sim.Engine, ncpu, freqMHz int) *Sampler {
+	c, _ := eng.Telemetry().(*Collector)
+	return c.NewSampler(ncpu, freqMHz)
 }
 
 // Collect runs fn with a fresh collector (bucketing on intervalUs

@@ -4,23 +4,31 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"armvirt/internal/sim"
 )
 
+// boundSampler asks for a sampler the way hw.New does: through the
+// binding a fresh engine resolved on the calling goroutine.
+func boundSampler(ncpu, freqMHz int) *Sampler {
+	return EngineSampler(sim.NewEngine(), ncpu, freqMHz)
+}
+
 // TestCollectorBinding: machines built under Collect get real samplers via
-// BoundSampler; unbound goroutines get nil (the no-op sampler).
+// EngineSampler; unbound goroutines get nil (the no-op sampler).
 func TestCollectorBinding(t *testing.T) {
-	if BoundSampler(2, 1) != nil {
+	if boundSampler(2, 1) != nil {
 		t.Fatal("unbound goroutine got a non-nil bound sampler")
 	}
 	col := Collect(10, func() {
-		s := BoundSampler(2, 1)
+		s := boundSampler(2, 1)
 		if s == nil {
-			t.Error("BoundSampler returned nil under Collect")
+			t.Error("EngineSampler returned nil under Collect")
 			return
 		}
 		s.Count(5, 0, CtrDiskReq, 1)
 	})
-	if BoundSampler(2, 1) != nil {
+	if boundSampler(2, 1) != nil {
 		t.Fatal("binding leaked past Collect")
 	}
 	if n := len(col.Samplers()); n != 1 {
@@ -44,7 +52,7 @@ func TestCollectorInherit(t *testing.T) {
 				defer wg.Done()
 				detach := bind()
 				defer detach()
-				s := BoundSampler(1, 1)
+				s := boundSampler(1, 1)
 				if s == nil {
 					t.Error("worker did not inherit the collector binding")
 					return
@@ -67,7 +75,7 @@ func TestInheritUnboundIsNoOp(t *testing.T) {
 	go func() {
 		detach := bind()
 		defer detach()
-		done <- BoundSampler(1, 1) == nil
+		done <- boundSampler(1, 1) == nil
 	}()
 	if !<-done {
 		t.Fatal("worker inherited a collector from an unbound parent")

@@ -115,6 +115,15 @@ func newRRFixture(m *hw.Machine, prm Params, nicTarget int) *rrFixture {
 	return f
 }
 
+// run simulates the configuration to completion, then closes the engine:
+// the NIC's rx-DMA process waits on its wire forever, and closing lets
+// its goroutine — and the machine graph it references — go. The machine
+// is spent afterwards; its recorder, sampler and stats stay readable.
+func (f *rrFixture) run() {
+	f.m.Eng.Run()
+	f.m.Eng.Close()
+}
+
 func (f *rrFixture) us(x float64) sim.Time {
 	return sim.Time(x * float64(f.m.Cost.FreqMHz))
 }
@@ -135,7 +144,8 @@ func (f *rrFixture) runClient() {
 }
 
 // TCPRRNative runs the benchmark against a bare host (no hypervisor): the
-// NIC interrupt, stack, and netserver all on the host kernel.
+// NIC interrupt, stack, and netserver all on the host kernel. The run
+// closes m's engine (see rrFixture.run).
 func TCPRRNative(m *hw.Machine, prm Params) TCPRRResult {
 	f := newRRFixture(m, prm, 0)
 	m.Eng.Go("native-server", func(p *sim.Proc) {
@@ -148,13 +158,14 @@ func TCPRRNative(m *hw.Machine, prm Params) TCPRRResult {
 		}
 	})
 	f.runClient()
-	m.Eng.Run()
+	f.run()
 	return f.stamps.result("Native")
 }
 
 // TCPRRVirt runs the benchmark in a VM under h. The topology matches §III:
 // the VM's VCPU on the guest PCPU set, the backend (vhost worker or Dom0)
-// on the host set, paravirtual networking throughout.
+// on the host set, paravirtual networking throughout. The run closes h's
+// engine (see rrFixture.run).
 func TCPRRVirt(h hyp.Hypervisor, prm Params) TCPRRResult {
 	if h.HType() == hyp.Type1 {
 		return tcprrXen(h, prm)
@@ -259,7 +270,7 @@ func tcprrKVM(h hyp.Hypervisor, prm Params) TCPRRResult {
 	})
 
 	f.runClient()
-	eng.Run()
+	f.run()
 	return f.stamps.result(h.Name())
 }
 
@@ -378,6 +389,6 @@ func tcprrXen(h hyp.Hypervisor, prm Params) TCPRRResult {
 	})
 
 	f.runClient()
-	eng.Run()
+	f.run()
 	return f.stamps.result(h.Name())
 }
