@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"armvirt/internal/bench"
@@ -22,11 +23,16 @@ import (
 )
 
 // statusRecorder captures the status code a handler writes so the
-// instrumentation middleware can count it.
+// instrumentation middleware can count it, and holds the response body
+// until the request's ledger entry is appended: a client that reads
+// X-Armvirt-Run and asks /v1/runs/{id} must find the entry, so no body
+// byte may reach it first (net/http sends the header with the first body
+// bytes, so holding the body holds the whole response).
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	wrote  bool
+	body   *bytes.Buffer
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -39,7 +45,25 @@ func (sr *statusRecorder) WriteHeader(code int) {
 
 func (sr *statusRecorder) Write(b []byte) (int, error) {
 	sr.wrote = true
-	return sr.ResponseWriter.Write(b)
+	return sr.body.Write(b)
+}
+
+// bodyPool recycles the held-back response bodies, so holding a response
+// costs a copy, not an allocation.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers kept for reuse; rare huge responses
+// (whole-study traces) are left to the garbage collector.
+const maxPooledBody = 1 << 20
+
+// flush releases the held body to the client and recycles its buffer.
+func (sr *statusRecorder) flush() {
+	sr.ResponseWriter.Write(sr.body.Bytes())
+	if sr.body.Cap() <= maxPooledBody {
+		sr.body.Reset()
+		bodyPool.Put(sr.body)
+	}
+	sr.body = nil
 }
 
 // instrument wraps one route — the single instrumentation path every
@@ -63,8 +87,9 @@ func (s *Server) instrument(endpoint string, fn http.HandlerFunc) http.Handler {
 			tr.SetUpstream(r.Header.Get(cluster.RunHeader))
 		}
 		r = r.WithContext(runlog.WithTrace(r.Context(), tr))
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK, body: bodyPool.Get().(*bytes.Buffer)}
 		defer func() {
+			defer sr.flush() // only once the ledger holds the entry
 			if rec := recover(); rec != nil {
 				s.met.RecordPanic()
 				if !sr.wrote {

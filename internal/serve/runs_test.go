@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"armvirt/internal/runlog"
 )
@@ -194,5 +196,38 @@ func TestMetricsIncludeStagesAndLedger(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestLedgerEntryPrecedesResponse pins the ledger's visibility contract:
+// by the time any byte of a response reaches the client, the request's
+// entry is in the ledger. The handler writes a body far larger than the
+// HTTP write buffer and then lingers; were the body passed straight
+// through, the client would read it while the handler is still running
+// and find no entry.
+func TestLedgerEntryPrecedesResponse(t *testing.T) {
+	s := New(Config{})
+	release := make(chan struct{})
+	ts := httptest.NewServer(s.instrument("test", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte("x"), 256<<10))
+		select {
+		case <-release:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	resp, err := ts.Client().Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := resp.Body.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	id := resp.Header.Get("X-Armvirt-Run")
+	if s.lg.Get(id) == nil {
+		t.Fatalf("response bytes visible before run %q reached the ledger", id)
 	}
 }

@@ -5,7 +5,7 @@
 // collection survives the parallel runners (core.RunAll,
 // bench.RunPhaseBreakdowns) unchanged. The binding is stored in sim's
 // goroutine registry next to the stats collector, so an engine resolves
-// both with one lookup and never reaches simulation output.
+// both with one lookup; the goroutine id never reaches simulation output.
 package telemetry
 
 import (
