@@ -2,9 +2,11 @@ package bench
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"armvirt/internal/cpu"
 	"armvirt/internal/hyp"
 	"armvirt/internal/micro"
 	"armvirt/internal/platform"
@@ -213,6 +215,37 @@ func TestSensitivityDeterministic(t *testing.T) {
 	for c, n := range a.Held {
 		if b.Held[c] != n {
 			t.Fatalf("sensitivity nondeterministic for %q", c)
+		}
+	}
+}
+
+// TestPerturbedCostsMatchPerBuildDraws: a sample's cost structs, drawn
+// once, equal what every hypervisor build used to draw for itself from a
+// freshly seeded source — same fields, same draw order — so R1 measures
+// the same perturbed machines.
+func TestPerturbedCostsMatchPerBuildDraws(t *testing.T) {
+	const spread = 0.2
+	for _, seed := range []int64{1, 7, 42, 8675309} {
+		r := rand.New(rand.NewSource(seed))
+		wantK := platform.KVMARMCosts()
+		for _, f := range []*cpu.Cycles{&wantK.VCPUWake, &wantK.NotifyResidual, &wantK.BackendWake, &wantK.Irqfd, &wantK.HostSchedSwitch} {
+			*f = perturbCycles(r, *f, spread)
+		}
+		r = rand.New(rand.NewSource(seed))
+		wantX := platform.XenARMCosts()
+		for _, f := range []*cpu.Cycles{&wantX.SGIEmulate, &wantX.PhysIRQAck, &wantX.VirqInject, &wantX.UpcallDispatch, &wantX.Dom0WorkerWake, &wantX.NotifyRingWork, &wantX.IdleWakeSched} {
+			*f = perturbCycles(r, *f, spread)
+		}
+		for build := 0; build < 2; build++ {
+			if got := perturbedKVMARMCosts(rand.New(rand.NewSource(seed)), spread); got != wantK {
+				t.Fatalf("seed %d: KVM costs %+v, want %+v", seed, got, wantK)
+			}
+			if got := perturbedXenARMCosts(rand.New(rand.NewSource(seed)), spread); got != wantX {
+				t.Fatalf("seed %d: Xen costs %+v, want %+v", seed, got, wantX)
+			}
+		}
+		if wantK == platform.KVMARMCosts() || wantX == platform.XenARMCosts() {
+			t.Fatalf("seed %d: perturbation left the calibrated costs unchanged", seed)
 		}
 	}
 }

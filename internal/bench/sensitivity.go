@@ -33,19 +33,21 @@ func perturb(rng *rand.Rand, v int64, spread float64) int64 {
 	return int64(float64(v) * f)
 }
 
-// perturbedKVMARM builds KVM ARM with its residual constants scattered.
-func perturbedKVMARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
+// perturbedKVMARMCosts returns KVM ARM's costs with its residual
+// constants scattered.
+func perturbedKVMARMCosts(rng *rand.Rand, spread float64) kvm.Costs {
 	c := platform.KVMARMCosts()
 	c.VCPUWake = perturbCycles(rng, c.VCPUWake, spread)
 	c.NotifyResidual = perturbCycles(rng, c.NotifyResidual, spread)
 	c.BackendWake = perturbCycles(rng, c.BackendWake, spread)
 	c.Irqfd = perturbCycles(rng, c.Irqfd, spread)
 	c.HostSchedSwitch = perturbCycles(rng, c.HostSchedSwitch, spread)
-	return kvm.New(platform.ARMMachine(), c, false)
+	return c
 }
 
-// perturbedXenARM builds Xen ARM with its residual constants scattered.
-func perturbedXenARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
+// perturbedXenARMCosts returns Xen ARM's costs with its residual
+// constants scattered.
+func perturbedXenARMCosts(rng *rand.Rand, spread float64) xen.Costs {
 	c := platform.XenARMCosts()
 	c.SGIEmulate = perturbCycles(rng, c.SGIEmulate, spread)
 	c.PhysIRQAck = perturbCycles(rng, c.PhysIRQAck, spread)
@@ -54,7 +56,7 @@ func perturbedXenARM(rng *rand.Rand, spread float64) hyp.Hypervisor {
 	c.Dom0WorkerWake = perturbCycles(rng, c.Dom0WorkerWake, spread)
 	c.NotifyRingWork = perturbCycles(rng, c.NotifyRingWork, spread)
 	c.IdleWakeSched = perturbCycles(rng, c.IdleWakeSched, spread)
-	return xen.New(platform.ARMMachine(), c)
+	return c
 }
 
 func perturbCycles[T ~int64](rng *rand.Rand, v T, spread float64) T {
@@ -73,13 +75,17 @@ var Conclusions = []string{
 
 // RunSensitivity perturbs the calibrated residuals ±spread and counts how
 // often each conclusion survives across samples (seeded: deterministic).
+// Each sample draws its perturbed costs once, from a seed per hypervisor,
+// and every machine the sample measures is built from them.
 func RunSensitivity(samples int, spread float64, seed int64) SensitivityResult {
 	rng := rand.New(rand.NewSource(seed))
 	res := SensitivityResult{Samples: samples, Spread: spread, Held: map[string]int{}}
 	for s := 0; s < samples; s++ {
 		kvmSeed, xenSeed := rng.Int63(), rng.Int63()
-		newKVM := func() hyp.Hypervisor { return perturbedKVMARM(rand.New(rand.NewSource(kvmSeed)), spread) }
-		newXen := func() hyp.Hypervisor { return perturbedXenARM(rand.New(rand.NewSource(xenSeed)), spread) }
+		kc := perturbedKVMARMCosts(rand.New(rand.NewSource(kvmSeed)), spread)
+		xc := perturbedXenARMCosts(rand.New(rand.NewSource(xenSeed)), spread)
+		newKVM := func() hyp.Hypervisor { return kvm.New(platform.ARMMachine(), kc, false) }
+		newXen := func() hyp.Hypervisor { return xen.New(platform.ARMMachine(), xc) }
 		kvmPC := micro.MeasurePathCosts(newKVM)
 		xenPC := micro.MeasurePathCosts(newXen)
 

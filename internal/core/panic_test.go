@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"armvirt/internal/sim"
 )
 
 // TestRunOneRecoversPanic pins the recovery contract the serve layer and
@@ -40,5 +42,32 @@ func TestRunOneRecoversPanic(t *testing.T) {
 	good := RunOne(*e)
 	if good.Err != nil || good.Result == nil {
 		t.Fatalf("registry experiment failed after recovery: err=%v result=%v", good.Err, good.Result)
+	}
+}
+
+// TestRunOneRecoversFiberPanic: a panic inside a simulated process is
+// raised by the engine's Run in the experiment's own goroutine, so RunOne
+// turns it into a Report error instead of the process dying from a
+// goroutine nobody recovers.
+func TestRunOneRecoversFiberPanic(t *testing.T) {
+	bad := Experiment{
+		ID:    "FIBER",
+		Title: "experiment whose fiber panics",
+		Kind:  Extension,
+		Run: func() Result {
+			e := sim.NewEngine()
+			q := sim.NewQueue[int](e, "q")
+			e.Go("rx", func(p *sim.Proc) { q.Recv(p) })
+			e.Go("boom", func(p *sim.Proc) {
+				p.Sleep(100)
+				panic("fiber exploded")
+			})
+			e.Run()
+			return nil
+		},
+	}
+	rep := RunOne(bad)
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "fiber exploded") {
+		t.Fatalf("RunOne(fiber panic) err = %v, want the fiber's panic", rep.Err)
 	}
 }

@@ -135,6 +135,23 @@ func (c RegClass) String() string {
 	return fmt.Sprintf("RegClass(%d)", int(c))
 }
 
+// World-switch charge labels, one table per suffix indexed by RegClass:
+// SaveLabel[VGIC] is "VGIC Regs: save". Both hypervisor models charge
+// under these names, and the tables are built once so a world switch
+// concatenates nothing.
+var (
+	SaveLabel        = classLabels(": save")
+	RestoreLabel     = classLabels(": restore")
+	SaveOtherVMLabel = classLabels(": save (other VM)")
+)
+
+func classLabels(suffix string) (l [numRegClasses]string) {
+	for c := range l {
+		l[c] = RegClass(c).String() + suffix
+	}
+	return l
+}
+
 // ARMClasses lists the register classes that exist on ARM, in the order the
 // paper's Table III presents them.
 func ARMClasses() []RegClass {

@@ -230,3 +230,19 @@ func TestArchAndRegClassStrings(t *testing.T) {
 		t.Error("VMCS string wrong")
 	}
 }
+
+// TestWorldSwitchLabels: the prebuilt label tables spell exactly what the
+// hypervisors used to concatenate per charge, for every class.
+func TestWorldSwitchLabels(t *testing.T) {
+	for c := GP; c < numRegClasses; c++ {
+		for _, tc := range []struct{ got, suffix string }{
+			{SaveLabel[c], ": save"},
+			{RestoreLabel[c], ": restore"},
+			{SaveOtherVMLabel[c], ": save (other VM)"},
+		} {
+			if want := c.String() + tc.suffix; tc.got != want {
+				t.Errorf("%v label %q, want %q", c, tc.got, want)
+			}
+		}
+	}
+}

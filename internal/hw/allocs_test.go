@@ -22,8 +22,8 @@ func TestConstructionAllocs(t *testing.T) {
 	cfg := Config{Arch: cpu.ARM, NCPU: 8, Cost: armCost()}
 	engine := testing.AllocsPerRun(500, func() { sim.NewEngine() })
 	machine := testing.AllocsPerRun(500, func() { New(cfg) })
-	if engine != 4 || machine != 79 {
-		t.Fatalf("unbound NewEngine/hw.New allocate %v/%v times, want 4/79", engine, machine)
+	if engine != 3 || machine != 78 {
+		t.Fatalf("unbound NewEngine/hw.New allocate %v/%v times, want 3/78", engine, machine)
 	}
 	detach := sim.BindParallelism(2)
 	defer detach()

@@ -119,7 +119,7 @@ func (k *KVM) exitToHost(p *sim.Proc, v *hyp.VCPU) {
 	case k.vhe:
 		v.Charge(p, "trap to EL2", cm.TrapToEL2)
 		pc.P.Trap()
-		v.Charge(p, "GP Regs: save", cm.Class[cpu.GP].Save)
+		v.Charge(p, cpu.SaveLabel[cpu.GP], cm.Class[cpu.GP].Save)
 		pc.P.SaveState(v.Ctx, cpu.GP)
 		pc.P.LoadState(k.hostCtx(pc), cpu.GP)
 		pc.P.EnterHostKernel() // stays in EL2 under VHE
@@ -128,9 +128,9 @@ func (k *KVM) exitToHost(p *sim.Proc, v *hyp.VCPU) {
 		pc.P.Trap()
 		for _, cls := range armAllClasses {
 			if cls == cpu.VGIC {
-				v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save", cm.Class[cls].Save)
+				v.ChargeSpanned(p, gic.SpanSave, cpu.SaveLabel[cls], cm.Class[cls].Save)
 			} else {
-				v.Charge(p, cls.String()+": save", cm.Class[cls].Save)
+				v.Charge(p, cpu.SaveLabel[cls], cm.Class[cls].Save)
 			}
 		}
 		v.VgicImage = pc.VIface.SaveImage()
@@ -181,9 +181,9 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 			if cur != nil {
 				for _, cls := range armAllClasses[1:] { // GP already saved at exit
 					if cls == cpu.VGIC {
-						v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save (other VM)", cm.Class[cls].Save)
+						v.ChargeSpanned(p, gic.SpanSave, cpu.SaveOtherVMLabel[cls], cm.Class[cls].Save)
 					} else {
-						v.Charge(p, cls.String()+": save (other VM)", cm.Class[cls].Save)
+						v.Charge(p, cpu.SaveOtherVMLabel[cls], cm.Class[cls].Save)
 					}
 				}
 				cur.VgicImage = pc.VIface.SaveImage()
@@ -192,9 +192,9 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 			}
 			for _, cls := range armAllClasses[1:] {
 				if cls == cpu.VGIC {
-					v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
+					v.ChargeSpanned(p, gic.SpanRestore, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 				} else {
-					v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
+					v.Charge(p, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 				}
 			}
 			pc.VIface.LoadImage(v.VgicImage)
@@ -202,7 +202,7 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 			k.resident[pc.P.ID()] = v
 			v.Resident = true
 		}
-		v.Charge(p, "GP Regs: restore", cm.Class[cpu.GP].Restore)
+		v.Charge(p, cpu.RestoreLabel[cpu.GP], cm.Class[cpu.GP].Restore)
 		pc.P.SaveState(k.hostCtx(pc), cpu.GP)
 		pc.P.LoadState(v.Ctx, cpu.GP)
 		v.Charge(p, "eret to guest", cm.ERET)
@@ -218,9 +218,9 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 		pc.P.EnableTraps()
 		for _, cls := range armAllClasses {
 			if cls == cpu.VGIC {
-				v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
+				v.ChargeSpanned(p, gic.SpanRestore, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 			} else {
-				v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
+				v.Charge(p, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 			}
 		}
 		pc.VIface.LoadImage(v.VgicImage)

@@ -180,9 +180,9 @@ func (x *Xen) saveVMState(p *sim.Proc, v *hyp.VCPU) {
 	cm := x.m.Cost
 	for _, cls := range armVMClasses {
 		if cls == cpu.VGIC {
-			v.ChargeSpanned(p, gic.SpanSave, cls.String()+": save", cm.Class[cls].Save)
+			v.ChargeSpanned(p, gic.SpanSave, cpu.SaveLabel[cls], cm.Class[cls].Save)
 		} else {
-			v.Charge(p, cls.String()+": save", cm.Class[cls].Save)
+			v.Charge(p, cpu.SaveLabel[cls], cm.Class[cls].Save)
 		}
 	}
 	v.VgicImage = v.CPU.VIface.SaveImage()
@@ -201,9 +201,9 @@ func (x *Xen) loadVMState(p *sim.Proc, v *hyp.VCPU) {
 	defer v.EndSpan(p)
 	for _, cls := range armVMClasses {
 		if cls == cpu.VGIC {
-			v.ChargeSpanned(p, gic.SpanRestore, cls.String()+": restore", cm.Class[cls].Restore)
+			v.ChargeSpanned(p, gic.SpanRestore, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 		} else {
-			v.Charge(p, cls.String()+": restore", cm.Class[cls].Restore)
+			v.Charge(p, cpu.RestoreLabel[cls], cm.Class[cls].Restore)
 		}
 	}
 	v.CPU.VIface.LoadImage(v.VgicImage)

@@ -29,6 +29,26 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcHandoff measures a cross-process hand-off: two processes
+// take turns at alternate cycles, so every wakeup resumes the other one
+// (ProcSwitch only ever wakes itself, which costs no switch at all).
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	for start, name := range []string{"ping", "pong"} {
+		e.GoAt(Time(start), name, func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if st := e.Stats(); st.ProcSwitches < int64(b.N/2*2) {
+		b.Fatalf("%d hand-offs for %d wakeups", st.ProcSwitches, b.N/2*2)
+	}
+}
+
 // BenchmarkQueueSendRecv measures the mailbox hot path.
 func BenchmarkQueueSendRecv(b *testing.B) {
 	e := NewEngine()

@@ -203,6 +203,44 @@ func TestCloseReleasesParkedProcs(t *testing.T) {
 	e.Go("late", func(*Proc) {})
 }
 
+// TestCloseAfterRunUntilReleasesRecv: RunUntil stops with a process
+// parked mid-Queue.Recv, its item still in flight; Close unwinds that
+// process from inside Recv — running its deferred call, delivering
+// nothing — and drops the pending send.
+func TestCloseAfterRunUntilReleasesRecv(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	q := NewQueue[int](e, "late")
+	var got []int
+	released := false
+	e.Go("rx", func(p *Proc) {
+		defer func() { released = true }()
+		for {
+			got = append(got, q.Recv(p))
+		}
+	})
+	e.At(10, func() { q.Send(1) })
+	e.At(500, func() { q.Send(2) })
+	e.RunUntil(100)
+	if parked := strings.Join(e.ParkedProcs(), ","); parked != "rx" || released {
+		t.Fatalf("after RunUntil: parked %q, released %v", parked, released)
+	}
+	e.Close()
+	if !released || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("after Close: released %v, received %v; want true, [1]", released, got)
+	}
+	if !e.Idle() || len(e.ParkedProcs()) != 0 {
+		t.Fatalf("Close left work behind: idle %v, parked %v", e.Idle(), e.ParkedProcs())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("Close left %d goroutines behind", after-before)
+	}
+}
+
 // TestCloseOnPartitionedEngine releases fibers on every partition.
 func TestCloseOnPartitionedEngine(t *testing.T) {
 	e := NewEngine()

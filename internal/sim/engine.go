@@ -2,11 +2,11 @@
 // simulation engine.
 //
 // The engine models virtual time in CPU cycles. Simulated activities run as
-// processes (fibers): ordinary Go functions executing on goroutines that are
-// scheduled cooperatively by the engine. Because processes within a
-// partition run one at a time and all ties in the event queue are broken by
-// a monotonic sequence number, a simulation produces identical results on
-// every run regardless of host scheduling.
+// processes (fibers): ordinary Go functions executing as runtime coroutines
+// (iter.Pull, see coro.go) that the engine resumes one at a time. Because
+// processes within a partition run one at a time and all ties in the event
+// queue are broken by a monotonic sequence number, a simulation produces
+// identical results on every run regardless of host scheduling.
 //
 // An engine is born with a single partition and behaves exactly like a
 // classic sequential event loop. AddPartition splits the simulation into
@@ -24,7 +24,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -116,9 +115,8 @@ type shard struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	running *Proc         // proc whose goroutine owns this shard's loop (nil = window owner)
-	done    chan struct{} // signals the window owner when the shard's loop goes idle
-	limit   Time          // inclusive dispatch bound for the current window / RunUntil
+	running *Proc // proc whose coroutine runs this shard's loop (nil = the run goroutine)
+	limit   Time  // inclusive dispatch bound for the current window / RunUntil
 	hasLim  bool
 	stopped bool
 	procs   map[*Proc]struct{}
@@ -161,13 +159,18 @@ type xmsg struct {
 // Engine owns the virtual clock(s) and event queue(s). The zero value is
 // not usable; construct with NewEngine.
 //
-// Within a partition the engine loop migrates between goroutines:
-// whichever goroutine parks last continues dispatching events inline
-// (continuation passing). A process that wakes itself therefore costs no
-// goroutine switch at all, and waking another process costs one handoff
-// instead of the two a dedicated engine goroutine would need. Logical
-// execution order is unaffected: exactly one goroutine runs a given
-// shard's loop at any instant.
+// Every process body runs as a runtime coroutine, and within a partition
+// the engine loop migrates between them: whichever process parks
+// continues dispatching events inline on its own stack (continuation
+// passing). A process that wakes itself therefore costs no switch at all.
+// Waking another process is a hand-off: the parking coroutine yields to
+// the run goroutine — the one in Run, RunUntil or a quantum window — which
+// resumes the woken one with a direct coroutine switch, never a trip
+// through the Go scheduler. Logical execution order is unaffected:
+// exactly one coroutine runs a given shard's loop at any instant. A panic
+// in a process body or callback is re-raised in the run goroutine; on a
+// single-partition engine it unwinds out of Run or RunUntil to their
+// caller.
 //
 // With more than one partition (AddPartition), Run executes the
 // conservative parallel algorithm in partition.go: lookahead-bounded
@@ -218,7 +221,6 @@ func NewEngine() *Engine {
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
-	e.root.done = make(chan struct{}, 1)
 	e.root.procs = make(map[*Proc]struct{})
 	e.parts = []*shard{&e.root}
 	if b.col != nil {
@@ -354,24 +356,17 @@ func (e *Engine) Stop() {
 	e.cur("Stop", "Engine.Part(id).Stop").stopped = true
 }
 
-// loop outcomes.
-const (
-	loopIdle    = iota // queue empty, Stop called, or deadline reached
-	loopHandoff        // control transferred to another process goroutine
-	loopSelf           // the calling process was itself resumed
-)
-
-// loop dispatches pending events in the calling goroutine until the shard
-// goes idle or control is handed to a process goroutine. Resuming the
-// process whose goroutine is already running the loop returns loopSelf
-// without any channel traffic.
-func (s *shard) loop() int {
+// loop dispatches pending events on the calling stack until the shard
+// goes idle (queue empty, Stop called, or deadline reached; running is
+// cleared) or wakes a process. Waking s.running, the process already
+// running the loop, reports true: it simply continues. Waking any other
+// process makes it s.running and reports false; the caller must get back
+// to the run goroutine, which resumes it.
+func (s *shard) loop() (self bool) {
 	for {
-		if len(s.queue) == 0 || s.stopped {
-			return loopIdle
-		}
-		if s.hasLim && s.queue[0].at > s.limit {
-			return loopIdle
+		if len(s.queue) == 0 || s.stopped || s.hasLim && s.queue[0].at > s.limit {
+			s.running = nil
+			return false
 		}
 		ev := s.queue.pop()
 		if ev.at < s.now {
@@ -391,20 +386,32 @@ func (s *shard) loop() int {
 		p := w.p
 		p.parked = false
 		if p == s.running {
-			return loopSelf
+			return true
 		}
 		s.running = p
 		s.statSwitches++
-		p.wake <- struct{}{}
-		return loopHandoff
+		return false
+	}
+}
+
+// drive runs the shard from the run goroutine — the one in Run, RunUntil
+// or a quantum window — until it goes idle: it dispatches until the first
+// hand-off, then resumes whichever process the loop handed control to.
+// Each resumed process runs the loop inline until it hands off again (or
+// the shard goes idle) and yields back here.
+func (s *shard) drive() {
+	s.running = nil
+	s.loop()
+	for s.running != nil {
+		s.running.next()
 	}
 }
 
 // Run processes events until the queue is empty or Stop is called.
-// Processes still parked when Run returns keep their goroutines blocked —
-// a later Run may resume them — until Close releases them. On a
-// multi-partition engine Run executes the quantum algorithm (see
-// partition.go) — same results, any worker count.
+// Processes still parked when Run returns stay suspended — a later Run may
+// resume them — until Close releases them. On a multi-partition engine
+// Run executes the quantum algorithm (see partition.go) — same results,
+// any worker count.
 func (e *Engine) Run() {
 	if e.multi {
 		e.runQuanta(0, false)
@@ -413,10 +420,7 @@ func (e *Engine) Run() {
 	e.inRun = true
 	e.root.stopped = false
 	e.root.hasLim = false
-	e.root.running = nil
-	if e.root.loop() == loopHandoff {
-		<-e.root.done
-	}
+	e.root.drive()
 	e.inRun = false
 }
 
@@ -436,10 +440,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.inRun = true
 	e.root.stopped = false
 	e.root.hasLim, e.root.limit = true, deadline
-	e.root.running = nil
-	if e.root.loop() == loopHandoff {
-		<-e.root.done
-	}
+	e.root.drive()
 	e.root.hasLim = false
 	if e.root.now < deadline {
 		e.root.now = deadline
@@ -474,14 +475,15 @@ func (e *Engine) ParkedProcs() []string {
 }
 
 // Close ends the engine's life. Every process still registered — parked
-// on a wakeup no event will deliver, or spawned and never started — exits
-// its goroutine through runtime.Goexit, so an abandoned fiber stops
-// pinning its stack and the machine graph it references. Processes are
-// released one at a time in spawn order and their deferred calls run
-// (they must not park). Pending events are discarded. Close must not be
-// called while the engine is running; calling it twice is a no-op, and
-// an engine that was never run is fine. Stats, ParkedProcs (now empty)
-// and Now stay readable afterwards.
+// on a wakeup no event will deliver, or spawned and never started — is
+// stopped, so an abandoned fiber stops pinning its stack and the machine
+// graph it references. Processes are released one at a time in spawn
+// order: a parked body unwinds from its park and its deferred calls run
+// (they must not park); a body that never started runs nothing. Pending
+// events are discarded. Close must not be called while the engine is
+// running; calling it twice is a no-op, and an engine that was never run
+// is fine. Stats, ParkedProcs (now empty) and Now stay readable
+// afterwards.
 func (e *Engine) Close() {
 	if e.inRun {
 		panic("sim: Close while the engine is running")
@@ -496,18 +498,20 @@ func (e *Engine) Close() {
 			procs = append(procs, p)
 		}
 		sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
-		for _, p := range procs {
-			delete(s.procs, p)
-			p.killed = true
-			p.wake <- struct{}{}
-			<-s.done
-		}
 		s.queue = nil
 		s.outbox = nil
+		for _, p := range procs {
+			delete(s.procs, p)
+			p.stop()
+		}
 	}
 }
 
-// spawnOn creates the process record and its goroutine on shard s,
+// procKilled is the panic value that unwinds a parked body stopped by
+// Close; the recover at the coroutine boundary swallows exactly it.
+type procKilled struct{}
+
+// spawnOn creates the process record and its coroutine on shard s,
 // initially parked waiting for the first dispatch at time t.
 func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Proc {
 	if e.closed {
@@ -519,35 +523,30 @@ func (e *Engine) spawnOn(s *shard, t Time, name string, body func(p *Proc)) *Pro
 		sh:   s,
 		id:   s.statSpawned,
 		name: name,
-		wake: make(chan struct{}, 1),
 	}
 	p.w.p = p
 	s.procs[p] = struct{}{}
-	go func() {
+	p.next, p.stop = newCoroutine(func(yield func(struct{}) bool) {
 		defer func() {
-			if p.killed {
-				s.done <- struct{}{} // tell Close the goroutine is gone
+			if r := recover(); r != nil && r != (procKilled{}) {
+				panic(r)
 			}
 		}()
-		p.await() // wait for first dispatch
+		p.yield = yield
 		s.noteProc("start", p)
 		body(p)
 		s.noteProc("exit", p)
-		p.dead = true
-		p.parked = true
 		delete(s.procs, p)
-		// The exiting goroutine owns the shard loop; keep dispatching
-		// here until idle or the loop migrates to another process.
-		if s.loop() == loopIdle {
-			s.done <- struct{}{}
-		}
-	}()
+		// The exiting process owns the shard loop; keep dispatching here
+		// until idle or a hand-off, then finish back to the run goroutine.
+		s.loop()
+	})
 	s.wakeAt(t, &p.w)
 	return p
 }
 
 // Go spawns a new process that begins executing body at the current time.
-// The body runs on its own goroutine but is scheduled cooperatively: it
+// The body runs as its own coroutine but is scheduled cooperatively: it
 // only executes while the engine has handed it control. On a
 // multi-partition engine Go spawns on partition 0 and is for setup only
 // (see GoOn); while running, use Engine.Part(id).Go.
@@ -569,11 +568,11 @@ type Proc struct {
 	sh     *shard
 	id     int64 // spawn order on its shard (Close releases in this order)
 	name   string
-	wake   chan struct{}
-	w      waiter // reusable wakeup token; armed per park, never reallocated
+	next   func() (struct{}, bool) // resumes the body (from the run goroutine)
+	stop   func()                  // unwinds the body (Close)
+	yield  func(struct{}) bool     // suspends the body; false once stopped
+	w      waiter                  // reusable wakeup token; armed per park, never reallocated
 	parked bool
-	dead   bool
-	killed bool // set by Close before the final wake
 }
 
 // Name returns the name given at spawn time.
@@ -593,30 +592,19 @@ func (p *Proc) Now() Time { return p.sh.now }
 // current time, with Engine.Part(p.Part()).SendTo's rules.
 func (p *Proc) SendTo(part PartID, d Time, fn func()) { p.sh.sendTo(part, d, fn) }
 
-// await blocks until the engine hands the process control. A wake sent by
-// Close instead ends the goroutine; the flag is read after the receive,
-// so the resume path costs no more than the bare channel operation.
-func (p *Proc) await() {
-	<-p.wake
-	if p.killed {
-		runtime.Goexit()
-	}
-}
-
 // park gives control back to the engine until some event unparks p. The
-// parking goroutine continues running the shard loop itself: if the next
-// wakeup is its own it simply returns, otherwise it hands the loop to the
-// woken process (or signals the window owner when the shard goes idle) and
-// blocks until resumed.
+// parking process continues running the shard loop itself: if the next
+// wakeup is its own it simply returns; on a hand-off or when the shard
+// goes idle it yields to the run goroutine until resumed. A yield that reports
+// false means Close stopped the process: it unwinds with procKilled.
 func (p *Proc) park() {
 	p.parked = true
-	switch p.sh.loop() {
-	case loopSelf:
+	if p.sh.loop() {
 		return
-	case loopIdle:
-		p.sh.done <- struct{}{}
 	}
-	p.await()
+	if !p.yield(struct{}{}) {
+		panic(procKilled{})
+	}
 }
 
 // Sleep advances the process's local view of time by d cycles. Other events

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -431,6 +432,52 @@ func TestRunUntilPanicsOnTimeRegression(t *testing.T) {
 		}
 	}()
 	e.RunUntil(200)
+}
+
+// TestProcPanicReachesRunCaller: a panic in a process body, or in a
+// callback a process dispatches while running the loop inline, unwinds
+// out of Run in the caller's goroutine — where a recover can catch it —
+// after the hand-offs that led there.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spawn func(e *Engine)
+	}{
+		{"body", func(e *Engine) {
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(10)
+				panic("body exploded")
+			})
+		}},
+		{"callback", func(e *Engine) {
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(5)
+				e.At(10, func() { panic("callback exploded") })
+				p.Sleep(20)
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Go("good", func(p *Proc) {
+				for {
+					p.Sleep(3)
+				}
+			})
+			tc.spawn(e)
+			defer func() {
+				r := recover()
+				if s, _ := r.(string); !strings.HasSuffix(s, "exploded") {
+					t.Fatalf("Run raised %v, want the process's panic", r)
+				}
+				if e.Stats().ProcSwitches == 0 {
+					t.Fatal("the panic came before any hand-off")
+				}
+			}()
+			e.Run()
+			t.Fatal("Run returned normally")
+		})
+	}
 }
 
 // The reusable per-Proc waiter must stay one-shot per generation: repeated

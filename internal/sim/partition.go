@@ -50,7 +50,6 @@ func (e *Engine) AddPartition(name string) PartID {
 		eng:   e,
 		id:    PartID(len(e.parts)),
 		name:  name,
-		done:  make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 	}
 	e.parts = append(e.parts, s)
@@ -275,10 +274,7 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 // or Part handle.
 func (s *shard) window(limit Time) {
 	s.hasLim, s.limit = true, limit
-	s.running = nil
-	if s.loop() == loopHandoff {
-		<-s.done
-	}
+	s.drive()
 	s.hasLim = false
 }
 

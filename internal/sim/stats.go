@@ -1,5 +1,5 @@
 // Engine work accounting. Every engine counts the work it dispatches —
-// events popped from the heap, goroutine handoffs between processes,
+// events popped from the heap, coroutine handoffs between processes,
 // processes spawned, the event-heap high-water mark, and the final
 // virtual clock. All of it is driven by the deterministic event sequence,
 // so a run's EngineStats are as reproducible as its tables: identical on
@@ -36,7 +36,7 @@ type EngineStats struct {
 	// Events counts events dispatched by the engine loop (callbacks and
 	// process wakeups, including stale ones).
 	Events int64 `json:"events"`
-	// ProcSwitches counts control handoffs between process goroutines
+	// ProcSwitches counts control handoffs between process coroutines
 	// (self-wakeups cost no handoff and are not counted; see Engine).
 	ProcSwitches int64 `json:"proc_switches"`
 	// ProcsSpawned counts processes created with Go/GoAt.
