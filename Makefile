@@ -78,7 +78,7 @@ telemetry-determinism:
 	@echo "telemetry-determinism: OK (PD1 series byte-identical at -par 1 and -par $(NPROC))"
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
+	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkSleepQueued|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
 
 # bench-json runs the perf-trajectory suite — the engine hot-path
 # microbenchmarks, the experiment-level worker pool (core.RunAll at j=1

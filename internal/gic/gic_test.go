@@ -2,6 +2,7 @@ package gic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -178,7 +179,8 @@ func TestSaveLoadImageRoundTrip(t *testing.T) {
 	v.Inject(40)
 	v.Inject(41)
 	v.Ack(40)
-	img := v.SaveImage()
+	var img Image
+	v.SaveImageInto(&img)
 	v.Clear()
 	if v.HasPendingOrActive() {
 		t.Fatal("clear failed")
@@ -188,6 +190,47 @@ func TestSaveLoadImageRoundTrip(t *testing.T) {
 		t.Fatalf("pending = %d after reload, want 41", v.PendingVirq())
 	}
 	v.Complete(40)
+}
+
+// TestSaveImageIntoReusesImage: saving into an existing image copies the
+// list registers and overflow queue, reuses the image's storage without
+// allocating, and leaves image and interface independent.
+func TestSaveImageIntoReusesImage(t *testing.T) {
+	v := NewVirtualIface(2, nil)
+	for _, irq := range []IRQ{40, 41, 42, 43} {
+		v.Inject(irq) // two LRs, two overflow
+	}
+	img := Image{LRs: make([]ListRegister, 2)}
+	v.SaveImageInto(&img)
+	want := Image{
+		LRs:      []ListRegister{{VirtID: 40, State: LRPending}, {VirtID: 41, State: LRPending}},
+		Overflow: []IRQ{42, 43},
+	}
+	if !reflect.DeepEqual(img, want) {
+		t.Fatalf("saved image = %+v, want %+v", img, want)
+	}
+	lrs, ovf := &img.LRs[0], &img.Overflow[0]
+	if n := testing.AllocsPerRun(100, func() { v.SaveImageInto(&img) }); n != 0 {
+		t.Fatalf("SaveImageInto allocates %.0f times into a sized image", n)
+	}
+	if &img.LRs[0] != lrs || &img.Overflow[0] != ovf {
+		t.Fatal("SaveImageInto replaced the image's storage")
+	}
+	img.LRs[0] = ListRegister{}
+	img.Overflow[0] = 99
+	if v.PendingVirq() != 40 || v.OverflowLen() != 2 {
+		t.Fatal("writing the saved image changed the interface")
+	}
+	v.Clear()
+	v.SaveImageInto(&img)
+	if len(img.LRs) != 2 || img.LRs[0].State != LRInvalid || len(img.Overflow) != 0 {
+		t.Fatalf("save of a cleared interface = %+v", img)
+	}
+	var empty Image
+	v.SaveImageInto(&empty)
+	if len(empty.LRs) != 2 {
+		t.Fatalf("SaveImageInto sized %d LRs, want 2", len(empty.LRs))
+	}
 }
 
 func TestLoadImageMismatchedPanics(t *testing.T) {

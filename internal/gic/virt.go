@@ -180,15 +180,22 @@ type Image struct {
 	Overflow []IRQ
 }
 
-// SaveImage copies the interface state out of the "hardware". The caller
-// pays the (large) VGIC save cost from the platform cost model.
-func (v *VirtualIface) SaveImage() Image {
-	img := Image{LRs: make([]ListRegister, len(v.lrs)), Overflow: append([]IRQ(nil), v.overflow...)}
+// SaveImageInto copies the interface state out of the "hardware" into
+// img, reusing its storage: the list registers go into img.LRs (sized to
+// the interface if its length differs) and the overflow queue is appended
+// onto img.Overflow[:0], so a world switch saving into the vCPU's own
+// image allocates nothing. LoadImage copies back out, so the image and
+// the interface never share storage. The caller pays the (large) VGIC
+// save cost from the platform cost model.
+func (v *VirtualIface) SaveImageInto(img *Image) {
+	if len(img.LRs) != len(v.lrs) {
+		img.LRs = make([]ListRegister, len(v.lrs))
+	}
 	copy(img.LRs, v.lrs)
-	return img
+	img.Overflow = append(img.Overflow[:0], v.overflow...)
 }
 
-// LoadImage restores interface state saved by SaveImage.
+// LoadImage restores interface state saved by SaveImageInto.
 func (v *VirtualIface) LoadImage(img Image) {
 	if len(img.LRs) != len(v.lrs) {
 		panic("gic: LoadImage with mismatched list register count")

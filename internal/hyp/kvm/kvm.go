@@ -133,7 +133,7 @@ func (k *KVM) exitToHost(p *sim.Proc, v *hyp.VCPU) {
 				v.Charge(p, cpu.SaveLabel[cls], cm.Class[cls].Save)
 			}
 		}
-		v.VgicImage = pc.VIface.SaveImage()
+		pc.VIface.SaveImageInto(&v.VgicImage)
 		pc.P.SaveState(v.Ctx, armAllClasses...)
 		v.Charge(p, "disable Stage-2 and traps", cm.Stage2Toggle+cm.TrapToggle)
 		pc.P.DisableStage2()
@@ -186,7 +186,7 @@ func (k *KVM) enterGuest(p *sim.Proc, v *hyp.VCPU) {
 						v.Charge(p, cpu.SaveOtherVMLabel[cls], cm.Class[cls].Save)
 					}
 				}
-				cur.VgicImage = pc.VIface.SaveImage()
+				pc.VIface.SaveImageInto(&cur.VgicImage)
 				pc.P.SaveState(cur.Ctx, armAllClasses[1:]...)
 				cur.Resident = false
 			}

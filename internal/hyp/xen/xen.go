@@ -185,7 +185,7 @@ func (x *Xen) saveVMState(p *sim.Proc, v *hyp.VCPU) {
 			v.Charge(p, cpu.SaveLabel[cls], cm.Class[cls].Save)
 		}
 	}
-	v.VgicImage = v.CPU.VIface.SaveImage()
+	v.CPU.VIface.SaveImageInto(&v.VgicImage)
 	v.CPU.P.SaveState(v.Ctx, armVMClasses...)
 	x.resident[v.CPU.P.ID()] = nil
 	v.Resident = false

@@ -16,8 +16,10 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures a full park/resume round trip — the fiber
-// context-switch cost of the cooperative scheduler.
+// BenchmarkProcSwitch measures a lone process sleeping: with nothing else
+// pending, every Sleep is a self-wake dispatched on the spot without the
+// event heap (see Proc.Sleep). SleepQueued keeps the heap round trip's
+// number.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("sleeper", func(p *Proc) {
@@ -27,6 +29,35 @@ func BenchmarkProcSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkSleepQueued measures a self-wake through the event heap: a
+// callback re-arming itself every cycle is always pending at the
+// sleeper's wakeup time with a lower sequence number, so each Sleep pushes
+// its wakeup, the callback runs, and the wakeup pops back to the sleeper
+// (no hand-off; ProcHandoff measures that).
+func BenchmarkSleepQueued(b *testing.B) {
+	e := NewEngine()
+	done := false
+	var tick func()
+	tick = func() {
+		if !done {
+			e.After(1, tick)
+		}
+	}
+	e.At(0, tick)
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+		done = true
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if st := e.Stats(); st.ProcSwitches != 1 || st.Events < int64(2*b.N) {
+		b.Fatalf("%d events, %d switches for %d sleeps; want >= 2 per sleep, 1 switch", st.Events, st.ProcSwitches, b.N)
+	}
 }
 
 // BenchmarkProcHandoff measures a cross-process hand-off: two processes

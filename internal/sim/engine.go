@@ -162,7 +162,12 @@ type xmsg struct {
 // Every process body runs as a runtime coroutine, and within a partition
 // the engine loop migrates between them: whichever process parks
 // continues dispatching events inline on its own stack (continuation
-// passing). A process that wakes itself therefore costs no switch at all.
+// passing). A process that wakes itself therefore costs no switch at all,
+// and when its wakeup is provably the next event — every other pending
+// event is strictly later — Sleep and Yield dispatch it on the spot
+// without the event heap (see Proc.Sleep). That shortcut is exact: the
+// clock, sequence numbers and every counter end up as the heap round trip
+// would have left them.
 // Waking another process is a hand-off: the parking coroutine yields to
 // the run goroutine — the one in Run, RunUntil or a quantum window — which
 // resumes the woken one with a direct coroutine switch, never a trip
@@ -610,12 +615,19 @@ func (p *Proc) park() {
 // Sleep advances the process's local view of time by d cycles. Other events
 // in the system proceed during the sleep. d <= 0 returns immediately without
 // yielding.
+//
+// When nothing can run before the wakeup — the engine is running, the
+// shard is not stopped, now+d is within the window or RunUntil bound, and
+// every pending event is strictly later than now+d (an equal-time event
+// has a lower sequence number and runs first) — the wakeup would be the
+// very next event dispatched, back to this same process. Sleep then does
+// exactly what the push, pop and dispatch would have done to the clock,
+// the sequence number and the counters, without touching the event heap.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.sh.wakeAt(p.sh.now+d, &p.w)
-	p.park()
+	p.wakeSelf(p.sh.now + d)
 }
 
 // SleepUntil parks until the absolute time t (no-op if t has passed).
@@ -628,8 +640,28 @@ func (p *Proc) SleepUntil(t Time) {
 
 // Yield reschedules the process at the current time, letting any other
 // events queued for this instant run first.
-func (p *Proc) Yield() {
-	p.sh.wakeAt(p.sh.now, &p.w)
+func (p *Proc) Yield() { p.wakeSelf(p.sh.now) }
+
+// wakeSelf suspends p until t (>= now). When p's wakeup would be the next
+// event dispatched (see Sleep), it moves the sequence number, heap
+// high-water mark, clock, event count and waiter generation as wakeAt,
+// park and loop would have, and returns. Otherwise the wakeup goes on the
+// heap and p parks; outside Run (a deferred Sleep while Close unwinds the
+// body) that is always the case.
+func (p *Proc) wakeSelf(t Time) {
+	s := p.sh
+	if s.eng.inRun && !s.stopped && (!s.hasLim || t <= s.limit) &&
+		(len(s.queue) == 0 || s.queue[0].at > t) {
+		s.seq++
+		if n := len(s.queue) + 1; n > s.statHeapHW {
+			s.statHeapHW = n
+		}
+		s.now = t
+		s.statEvents++
+		p.w.gen++
+		return
+	}
+	s.wakeAt(t, &p.w)
 	p.park()
 }
 

@@ -12,8 +12,8 @@ package sim
 type Queue[T any] struct {
 	eng     *Engine
 	name    string
-	items   []T
-	waiters []waiterRef
+	items   fifo[T]
+	waiters fifo[waiterRef]
 }
 
 // NewQueue creates an empty queue attached to eng.
@@ -25,12 +25,12 @@ func NewQueue[T any](eng *Engine, name string) *Queue[T] {
 func (q *Queue[T]) Name() string { return q.name }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Send enqueues v and wakes the oldest parked receiver, if any. Send may be
 // called from a process or from a plain engine callback.
 func (q *Queue[T]) Send(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne()
 }
 
@@ -41,9 +41,8 @@ func (q *Queue[T]) SendAfter(d Time, v T) {
 }
 
 func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		ref := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for q.waiters.len() > 0 {
+		ref := q.waiters.pop()
 		if ref.stale() {
 			continue // stale registration (receiver already woken by timeout)
 		}
@@ -55,25 +54,21 @@ func (q *Queue[T]) wakeOne() {
 // Recv parks p until an item is available, then dequeues and returns it.
 func (q *Queue[T]) Recv(p *Proc) T {
 	for {
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			return v
+		if q.items.len() > 0 {
+			return q.items.pop()
 		}
-		q.waiters = append(q.waiters, p.ref())
+		q.waiters.push(p.ref())
 		p.park()
 	}
 }
 
 // TryRecv dequeues an item if one is available without parking.
 func (q *Queue[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // RecvTimeout is Recv with a deadline d cycles in the future. The second
@@ -82,10 +77,8 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 	var zero T
 	deadline := p.sh.now + d
 	for {
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			return v, true
+		if q.items.len() > 0 {
+			return q.items.pop(), true
 		}
 		if p.sh.now >= deadline {
 			return zero, false
@@ -93,7 +86,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 		// Two registrations race for one generation: the wait-list entry
 		// and the deadline wakeup. Whichever fires first consumes the
 		// generation; the other goes stale.
-		q.waiters = append(q.waiters, p.ref())
+		q.waiters.push(p.ref())
 		p.sh.wakeAt(deadline, &p.w)
 		p.park()
 	}
@@ -116,16 +109,18 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
-// Broadcast wakes every currently parked waiter (in wait order).
+// Broadcast wakes every currently parked waiter (in wait order). Waking
+// only schedules, so no Wait can append while the list is walked, and the
+// cleared list keeps its backing array for the next round.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, ref := range ws {
+	for _, ref := range c.waiters {
 		if ref.stale() {
 			continue
 		}
 		ref.consume(c.eng)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Resource is a FIFO mutual-exclusion resource (for example, a physical CPU
@@ -136,7 +131,7 @@ type Resource struct {
 	name    string
 	busy    bool
 	holder  *Proc
-	waiters []waiterRef
+	waiters fifo[waiterRef]
 }
 
 // NewResource creates a free resource attached to eng.
@@ -156,7 +151,7 @@ func (r *Resource) Holder() *Proc { return r.holder }
 // Acquire parks p until the resource is free, then claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.busy {
-		r.waiters = append(r.waiters, p.ref())
+		r.waiters.push(p.ref())
 		p.park()
 	}
 	r.busy = true
@@ -171,9 +166,8 @@ func (r *Resource) Release(p *Proc) {
 	}
 	r.busy = false
 	r.holder = nil
-	for len(r.waiters) > 0 {
-		ref := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.waiters.len() > 0 {
+		ref := r.waiters.pop()
 		if ref.stale() {
 			continue
 		}
@@ -188,4 +182,40 @@ func (r *Resource) Exec(p *Proc, d Time) {
 	r.Acquire(p)
 	p.Sleep(d)
 	r.Release(p)
+}
+
+// fifo is a first-in first-out list that reuses its backing array: pop
+// advances a head index, a drained list rewinds to the start of the
+// array, and a push that would grow the array first compacts it when at
+// least half of it is popped slots. A backlog that never drains therefore
+// stays in an array at most about twice its peak length, and steady-state
+// traffic allocates nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest element; the list must not be empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero // drop the reference so it can be collected
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return v
 }
