@@ -151,14 +151,13 @@ type BreakdownStep struct {
 	Cycles int64
 }
 
-// HypercallBreakdown runs a traced hypercall and returns the Table III
+// HypercallBreakdown runs a profiled hypercall and returns the Table III
 // style attribution: where every cycle of the VM-to-hypervisor round trip
 // goes.
 func (s *System) HypercallBreakdown() []BreakdownStep {
-	r := micro.HypercallBreakdown(s.kind.factory()())
 	var out []BreakdownStep
-	for _, st := range r.Breakdown.ByName() {
-		out = append(out, BreakdownStep{Name: st.Name, Cycles: int64(st.Cycles)})
+	for _, l := range micro.ProfileOp(s.kind.factory()(), "hypercall").Profile.Leaves() {
+		out = append(out, BreakdownStep{Name: l.Name, Cycles: l.Cycles})
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package armvirt
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
@@ -56,6 +59,40 @@ func TestHypercallBreakdownAPI(t *testing.T) {
 	}
 	if total != 6500 {
 		t.Errorf("breakdown total = %d, want 6500", total)
+	}
+}
+
+// TestHypercallBreakdownPinned pins the Table III attribution exactly:
+// every step's name, its first-seen order and its cycles.
+func TestHypercallBreakdownPinned(t *testing.T) {
+	want := []BreakdownStep{
+		{"trap to EL2", 27},
+		{"GP Regs: save", 152},
+		{"FP Regs: save", 282},
+		{"EL1 System Regs: save", 230},
+		{"VGIC Regs: save", 3250},
+		{"Timer Regs: save", 104},
+		{"EL2 Config Regs: save", 92},
+		{"EL2 Virtual Memory Regs: save", 92},
+		{"disable Stage-2 and traps", 43},
+		{"restore host context", 270},
+		{"eret to host EL1", 27},
+		{"hypercall handler", 118},
+		{"hvc to EL2", 27},
+		{"save host context", 210},
+		{"enable Stage-2 and traps", 43},
+		{"GP Regs: restore", 184},
+		{"FP Regs: restore", 310},
+		{"EL1 System Regs: restore", 511},
+		{"VGIC Regs: restore", 181},
+		{"Timer Regs: restore", 106},
+		{"EL2 Config Regs: restore", 107},
+		{"EL2 Virtual Memory Regs: restore", 107},
+		{"eret to guest", 27},
+	}
+	got := New(KVMARM).HypercallBreakdown()
+	if !slices.Equal(got, want) {
+		t.Errorf("breakdown:\n got %v\nwant %v", got, want)
 	}
 }
 

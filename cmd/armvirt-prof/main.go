@@ -7,6 +7,7 @@
 //	armvirt-prof -folded > suite.folded        # flamegraph.pl / speedscope input
 //	armvirt-prof -pprof prof.pb.gz             # go tool pprof prof.pb.gz
 //	armvirt-prof -platform "KVM ARM" -op hypercall -table
+//	armvirt-prof -platform "KVM ARM" -op vmswitch -trace-out sw.json   # Chrome timeline
 //
 // Units run on a worker pool (-j) but are assembled in a fixed order, so
 // every output is byte-identical across runs and parallelism levels.
@@ -23,6 +24,7 @@ import (
 	"armvirt/internal/bench"
 	"armvirt/internal/cliutil"
 	"armvirt/internal/micro"
+	"armvirt/internal/obs"
 )
 
 func main() {
@@ -33,6 +35,7 @@ func main() {
 	table := flag.Bool("table", false, "print per-phase breakdown tables (default when no output is selected)")
 	folded := flag.Bool("folded", false, "print collapsed-stack flamegraph lines to stdout")
 	pprofOut := flag.String("pprof", "", "write a gzipped pprof profile to this file")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the profiled run to this file (needs -platform and -op)")
 	flag.Parse()
 	cliutil.CheckJobs(*jobs)
 	cliutil.BindPar(*par)
@@ -51,6 +54,10 @@ func main() {
 			os.Exit(2)
 		}
 		ops = []string{*opFlag}
+	}
+	if *traceOut != "" && (*platformFlag == "" || *opFlag == "") {
+		fmt.Fprintln(os.Stderr, "-trace-out needs exactly one -platform and one -op")
+		os.Exit(2)
 	}
 	if !*table && !*folded && *pprofOut == "" {
 		*table = true
@@ -84,6 +91,40 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d units to %s\n", len(r.Units), *pprofOut)
 	}
+	if *traceOut != "" {
+		n, err := writeTrace(*traceOut, *platformFlag, *opFlag)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "armvirt-prof: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", n, *traceOut)
+	}
+}
+
+// writeTrace profiles op on a fresh label platform again, this time with a
+// full-size recorder attached, and writes its event stream — setup, warm-up
+// and the measured operation — as Chrome trace-event JSON. It returns the
+// number of events recorded.
+func writeTrace(path, label, op string) (n int64, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("profiling failed: %v", rec)
+		}
+	}()
+	h := bench.Factories()[label]()
+	m := h.Machine()
+	rec := obs.NewRecorder(m.NCPU(), 0)
+	m.SetRecorder(rec)
+	micro.ProfileOp(h, op)
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := obs.WriteChromeTrace(f, rec, m.Cost.FreqMHz); err != nil {
+		f.Close()
+		return 0, err
+	}
+	return rec.Total(), f.Close()
 }
 
 // run executes the profiling suite, converting a panic in any unit into an

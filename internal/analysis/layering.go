@@ -16,7 +16,7 @@
 //  2. Wall-tier packages reach the deterministic world only through the
 //     blessed seams: bench, core, sim, and telemetry. Engine internals
 //     (gic, hyp, hw, sched, vio, netdev, blockdev, timer, mem, cpu,
-//     micro, workload, platform, trace) are off limits — the seams exist
+//     micro, workload, platform) are off limits — the seams exist
 //     precisely so serving-tier code cannot grow ad-hoc dependencies on
 //     device models. Shared substrate (obs, stats, det) is importable
 //     from both worlds. Commands under cmd/ are composition roots and
@@ -48,8 +48,8 @@ var layeringSeams = map[string]bool{
 // layeringEngineInternal extends the deny set for wall-tier importers
 // beyond DetclockScope: packages that are engine plumbing even though the
 // detclock analyzer tracks them separately (hw builds machines, platform
-// and trace are engine-facing substrate).
-var layeringEngineInternal = []string{"hw", "platform", "trace"}
+// is engine-facing substrate).
+var layeringEngineInternal = []string{"hw", "platform"}
 
 // Layering is the import-DAG analyzer.
 var Layering = &Analyzer{

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"armvirt/internal/cpu"
 	"armvirt/internal/hyp"
 	"armvirt/internal/micro"
 	"armvirt/internal/platform"
@@ -157,14 +156,18 @@ type TableIIIResult struct {
 	Total, Other float64
 }
 
-// RunTableIII regenerates Table III on split-mode KVM ARM.
+// RunTableIII regenerates Table III on split-mode KVM ARM from the
+// profiled hypercall's flat view.
 func RunTableIII() TableIIIResult {
-	r := micro.HypercallBreakdown(Factories()["KVM ARM"]())
+	r := micro.ProfileOp(Factories()["KVM ARM"](), "hypercall")
+	leaf := map[string]int64{}
+	for _, l := range r.Profile.Leaves() {
+		leaf[l.Name] = l.Cycles
+	}
 	out := TableIIIResult{SaveRestore: map[string][2]float64{}, Total: float64(r.Cycles)}
-	var state cpu.Cycles
+	var state int64
 	for _, cls := range TableIIIOrder {
-		save := r.Breakdown.Get(cls + ": save")
-		restore := r.Breakdown.Get(cls + ": restore")
+		save, restore := leaf[cls+": save"], leaf[cls+": restore"]
 		out.SaveRestore[cls] = [2]float64{float64(save), float64(restore)}
 		state += save + restore
 	}

@@ -15,7 +15,6 @@ import (
 	"armvirt/internal/obs"
 	"armvirt/internal/sim"
 	"armvirt/internal/telemetry"
-	"armvirt/internal/trace"
 )
 
 // Type is the hypervisor design type of Figure 1.
@@ -93,9 +92,6 @@ type VCPU struct {
 	// interrupts a remote sender has marked for this VCPU that have not
 	// yet been placed in list registers.
 	PendingSoft []gic.IRQ
-	// BR, when non-nil, receives cycle attribution for operations
-	// performed on this VCPU.
-	BR *trace.Breakdown
 	// Exits counts VM exits by reason, the statistic exit-rate studies
 	// report. Hypervisor implementations bump it on every guest exit.
 	Exits map[string]int64
@@ -172,16 +168,15 @@ func (v *VCPU) DrainSoft() []gic.IRQ {
 }
 
 // Charge makes the VCPU's current execution pay c cycles and attributes
-// them to name in the VCPU's breakdown recorder (if any) and, under the
-// fiber's current span stack, in the machine's profiler. Cycles charged
-// outside a guest span (EnterT < 0, not !InGuest — CountExit closes the
-// span before the trap cost is charged while InGuest is still set) count
-// toward the telemetry hypervisor-utilization series.
+// them to name, under the fiber's current span stack, in the machine's
+// profiler. Cycles charged outside a guest span (EnterT < 0, not !InGuest
+// — CountExit closes the span before the trap cost is charged while
+// InGuest is still set) count toward the telemetry hypervisor-utilization
+// series.
 func (v *VCPU) Charge(p *sim.Proc, name string, c cpu.Cycles) {
 	if c <= 0 {
 		return
 	}
-	v.BR.Add(name, c)
 	m := v.VM.Hyp.Machine()
 	m.Rec.ChargeCycles(p, name, int64(c))
 	if v.EnterT < 0 {

@@ -410,7 +410,6 @@ func (x *Xen) SwitchVM(p *sim.Proc, from, to *hyp.VCPU) {
 	from.Span(p, "vm-switch")
 	defer from.EndSpan(p)
 	cm := x.m.Cost
-	to.BR = from.BR
 	if x.m.Arch == cpu.X86 {
 		x.lightTrap(p, from)
 		from.Charge(p, "Xen scheduler", x.c.SchedSwitch)

@@ -16,7 +16,6 @@ import (
 	"armvirt/internal/sched"
 	"armvirt/internal/sim"
 	"armvirt/internal/stats"
-	"armvirt/internal/trace"
 )
 
 // Iterations is the default measured-iteration count. The simulator is
@@ -41,15 +40,13 @@ type Result struct {
 	// hardware; the simulator's determinism makes it exactly zero for
 	// the steady-state benchmarks.
 	CV float64
-	// Breakdown attributes the cost when the benchmark collects one.
-	Breakdown *trace.Breakdown
 }
 
 func (r Result) String() string {
 	return fmt.Sprintf("%-26s %8d cycles", r.Name, r.Cycles)
 }
 
-func summarize(name string, samples []cpu.Cycles, br *trace.Breakdown) Result {
+func summarize(name string, samples []cpu.Cycles) Result {
 	if len(samples) == 0 {
 		panic("micro: no samples for " + name)
 	}
@@ -58,12 +55,11 @@ func summarize(name string, samples []cpu.Cycles, br *trace.Breakdown) Result {
 		s.Add(float64(x))
 	}
 	return Result{
-		Name:      name,
-		Cycles:    cpu.Cycles(s.Mean()),
-		Min:       cpu.Cycles(s.Min()),
-		Max:       cpu.Cycles(s.Max()),
-		CV:        s.CV(),
-		Breakdown: br,
+		Name:   name,
+		Cycles: cpu.Cycles(s.Mean()),
+		Min:    cpu.Cycles(s.Min()),
+		Max:    cpu.Cycles(s.Max()),
+		CV:     s.CV(),
 	}
 }
 
@@ -93,26 +89,7 @@ func Hypercall(h hyp.Hypervisor) Result {
 		}
 	})
 	h.Machine().Eng.Run()
-	return summarize("Hypercall", samples, nil)
-}
-
-// HypercallBreakdown runs one traced hypercall and returns the Table III
-// style attribution.
-func HypercallBreakdown(h hyp.Hypervisor) Result {
-	vm := h.NewVM("vm0", guestPin[:1])
-	v := vm.VCPUs[0]
-	br := &trace.Breakdown{}
-	var cycles cpu.Cycles
-	hyp.Run(h, "hypercall-breakdown", v, func(p *sim.Proc, g *hyp.Guest) {
-		g.Hypercall(p) // warm
-		v.BR = br
-		t0 := p.Now()
-		g.Hypercall(p)
-		cycles = cpu.Cycles(p.Now() - t0)
-		v.BR = nil
-	})
-	h.Machine().Eng.Run()
-	return Result{Name: "Hypercall", Cycles: cycles, Min: cycles, Max: cycles, Breakdown: br}
+	return summarize("Hypercall", samples)
 }
 
 // InterruptControllerTrap measures a trapped access to the emulated
@@ -132,7 +109,7 @@ func InterruptControllerTrap(h hyp.Hypervisor) Result {
 		}
 	})
 	h.Machine().Eng.Run()
-	return summarize("Interrupt Controller Trap", samples, nil)
+	return summarize("Interrupt Controller Trap", samples)
 }
 
 // VirtualIPI measures the latency from one VCPU issuing a virtual IPI
@@ -166,7 +143,7 @@ func VirtualIPI(h hyp.Hypervisor) Result {
 		}
 	})
 	eng.Run()
-	return summarize("Virtual IPI", samples, nil)
+	return summarize("Virtual IPI", samples)
 }
 
 // VirtualIRQCompletion measures the guest acknowledging and completing a
@@ -189,7 +166,7 @@ func VirtualIRQCompletion(h hyp.Hypervisor) Result {
 		}
 	})
 	h.Machine().Eng.Run()
-	return summarize("Virtual IRQ Completion", samples, nil)
+	return summarize("Virtual IRQ Completion", samples)
 }
 
 // VMSwitch measures switching between two VMs on the same physical core
@@ -213,7 +190,7 @@ func VMSwitch(h hyp.Hypervisor) Result {
 		h.ExitGuest(p, cur)
 	})
 	h.Machine().Eng.Run()
-	return summarize("VM Switch", samples, nil)
+	return summarize("VM Switch", samples)
 }
 
 // backendFor builds the I/O backend execution context: a vhost worker
@@ -285,7 +262,7 @@ func IOLatencyOut(h hyp.Hypervisor) Result {
 		}
 	})
 	eng.Run()
-	return summarize("I/O Latency Out", samples, nil)
+	return summarize("I/O Latency Out", samples)
 }
 
 // IOLatencyIn measures the latency from the virtual I/O device signaling
@@ -337,7 +314,7 @@ func IOLatencyIn(h hyp.Hypervisor) Result {
 		}
 	})
 	eng.Run()
-	return summarize("I/O Latency In", samples, nil)
+	return summarize("I/O Latency In", samples)
 }
 
 // Names lists the seven benchmarks in Table II order.

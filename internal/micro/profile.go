@@ -7,9 +7,12 @@ import (
 	"armvirt/internal/sim"
 )
 
+// TracedOps lists the operations ProfileOp accepts.
+var TracedOps = []string{"hypercall", "gictrap", "vmswitch", "virqcomplete", "stage2fault"}
+
 // OpProfile is one operation's span profile: the Table III methodology
-// generalized — instead of a flat name→cycles breakdown, the full phase
-// tree the profiler recorded while the operation ran.
+// generalized — the full phase tree the profiler recorded while the
+// operation ran, with Profile.Leaves as the flat name→cycles breakdown.
 type OpProfile struct {
 	// Op is the TracedOps key ("hypercall", "vmswitch", ...).
 	Op string
@@ -27,10 +30,11 @@ type OpProfile struct {
 }
 
 // ProfileOp runs one operation (a TracedOps name) on a freshly built
-// platform h with the span profiler attached, using the same measurement
-// discipline as TraceOp: warm one operation to reach steady state, reset
-// the profile, measure exactly one operation, then detach the recorder so
-// teardown costs are not attributed.
+// platform h with the span profiler attached: warm one operation to reach
+// steady state, reset the profile, measure exactly one operation, then
+// detach the recorder so teardown costs are not attributed. A recorder
+// already attached to h's machine is used instead of a fresh one, so its
+// event stream covers the same run up to the end of the measured window.
 func ProfileOp(h hyp.Hypervisor, op string) OpProfile {
 	switch op {
 	case "hypercall":
@@ -57,19 +61,21 @@ func ProfileOp(h hyp.Hypervisor, op string) OpProfile {
 	panic("micro: unknown profiled op " + op)
 }
 
-// newProfileRecorder builds the recorder ProfileOp attaches: only the span
-// tree matters here, so the event rings are kept tiny instead of the
-// tracing default.
-func newProfileRecorder(ncpu int) *obs.Recorder {
-	return obs.NewRecorder(ncpu, 64)
+// attachRecorder returns the recorder of h's machine, first attaching one
+// if there is none: only the span tree matters then, so its event rings
+// are kept tiny instead of the tracing default.
+func attachRecorder(h hyp.Hypervisor) *obs.Recorder {
+	m := h.Machine()
+	if m.Rec == nil {
+		m.SetRecorder(obs.NewRecorder(m.NCPU(), 64))
+	}
+	return m.Rec
 }
 
-// profileSingle is tracedSingle with the profiler attached instead of a
-// flat breakdown.
+// profileSingle runs body once on a warm single-VCPU VM.
 func profileSingle(h hyp.Hypervisor, op, name string, body func(p *sim.Proc, g *hyp.Guest)) OpProfile {
 	m := h.Machine()
-	rec := newProfileRecorder(m.NCPU())
-	m.SetRecorder(rec)
+	rec := attachRecorder(h)
 	vm := h.NewVM("vm0", guestPin[:1])
 	v := vm.VCPUs[0]
 	var cycles cpu.Cycles
@@ -92,8 +98,7 @@ func profileSingle(h hyp.Hypervisor, op, name string, body func(p *sim.Proc, g *
 
 func profileVMSwitch(h hyp.Hypervisor) OpProfile {
 	m := h.Machine()
-	rec := newProfileRecorder(m.NCPU())
-	m.SetRecorder(rec)
+	rec := attachRecorder(h)
 	vm1 := h.NewVM("vm1", guestPin[:1])
 	vm2 := h.NewVM("vm2", guestPin[:1])
 	a, b := vm1.VCPUs[0], vm2.VCPUs[0]

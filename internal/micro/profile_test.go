@@ -53,15 +53,72 @@ func TestProfiledHypercallMatchesMicrobenchmark(t *testing.T) {
 	}
 }
 
-// The profiled ops must agree with TraceOp's flat breakdown totals too.
+// The flat view — the Table III breakdown — of every profiled op must sum
+// to the measured total.
 func TestProfileMatchesTracedTotals(t *testing.T) {
 	for name, newHyp := range profilePlatforms {
 		for _, op := range TracedOps {
 			pr := ProfileOp(newHyp(), op)
-			tr := TraceOp(newHyp(), op)
-			if pr.Cycles != tr.Cycles {
-				t.Errorf("%s/%s: profiled %d cycles, traced %d", name, op, pr.Cycles, tr.Cycles)
+			if got := leavesTotal(pr); got != int64(pr.Cycles) {
+				t.Errorf("%s/%s: flat view sums to %d cycles, measured %d", name, op, got, pr.Cycles)
 			}
+		}
+	}
+}
+
+// Profiling must not change costs: each profiled op's total equals the
+// unprofiled benchmark's measurement.
+func TestProfileOpTotalsMatchUntracedRuns(t *testing.T) {
+	cases := []struct {
+		op   string
+		want func() Result
+	}{
+		{"hypercall", func() Result { return Hypercall(platform.NewKVMARM().Hyp()) }},
+		{"gictrap", func() Result { return InterruptControllerTrap(platform.NewKVMARM().Hyp()) }},
+		{"virqcomplete", func() Result { return VirtualIRQCompletion(platform.NewKVMARM().Hyp()) }},
+		{"vmswitch", func() Result { return VMSwitch(platform.NewKVMARM().Hyp()) }},
+	}
+	for _, c := range cases {
+		pr := ProfileOp(platform.NewKVMARM().Hyp(), c.op)
+		want := c.want()
+		if pr.Cycles != want.Cycles {
+			t.Errorf("%s: profiled %d vs unprofiled %d cycles", c.op, pr.Cycles, want.Cycles)
+		}
+		if total := leavesTotal(pr); total != int64(pr.Cycles) {
+			t.Errorf("%s: breakdown total %d != measured %d", c.op, total, pr.Cycles)
+		}
+	}
+}
+
+func TestTraceStage2Fault(t *testing.T) {
+	r := ProfileOp(platform.NewKVMARM().Hyp(), "stage2fault")
+	leaf := leafCycles(r)
+	if leaf["host: allocate + map page"] == 0 {
+		t.Error("fault profile missing the host mapping work")
+	}
+	if leaf["VGIC Regs: save"] != 3250 {
+		t.Error("a split-mode fault must pay the full world switch")
+	}
+	xen := ProfileOp(platform.NewXenARM().Hyp(), "stage2fault")
+	if xen.Cycles >= r.Cycles/3 {
+		t.Errorf("Xen fault %d vs KVM %d: EL2 handling should be far cheaper", xen.Cycles, r.Cycles)
+	}
+}
+
+func TestTraceUnknownOpPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	ProfileOp(platform.NewKVMARM().Hyp(), "nonsense")
+}
+
+func TestTracedOpsAllRun(t *testing.T) {
+	for _, op := range TracedOps {
+		r := ProfileOp(platform.NewXenARM().Hyp(), op)
+		if r.Cycles <= 0 || len(r.Profile.Leaves()) == 0 {
+			t.Errorf("%s: empty profile", op)
 		}
 	}
 }
@@ -79,4 +136,22 @@ func TestProfileOpDeterministic(t *testing.T) {
 			t.Errorf("%s: empty folded output", name)
 		}
 	}
+}
+
+// leafCycles indexes a profiled op's flat view by charge name.
+func leafCycles(pr OpProfile) map[string]int64 {
+	out := map[string]int64{}
+	for _, l := range pr.Profile.Leaves() {
+		out[l.Name] += l.Cycles
+	}
+	return out
+}
+
+// leavesTotal sums a profiled op's flat view.
+func leavesTotal(pr OpProfile) int64 {
+	var t int64
+	for _, l := range pr.Profile.Leaves() {
+		t += l.Cycles
+	}
+	return t
 }

@@ -42,17 +42,19 @@ type traceArgs struct {
 	Arg    int64  `json:"arg,omitempty"`
 }
 
-// chromeEvent is one trace record. Field order matches the acceptance
-// shape {"name","ph","ts","pid","tid",...}.
-type chromeEvent struct {
-	Name string     `json:"name"`
-	Ph   string     `json:"ph"`
-	Ts   float64    `json:"ts"`
-	Pid  int        `json:"pid"`
-	Tid  int        `json:"tid"`
-	Dur  *float64   `json:"dur,omitempty"`
-	S    string     `json:"s,omitempty"`
-	Args *traceArgs `json:"args,omitempty"`
+// ChromeEvent is one trace record, shared by every Chrome trace writer in
+// the module. Field order matches the acceptance shape
+// {"name","ph","ts","pid","tid",...}. Args holds a pointer to a struct
+// payload (a struct, not a map, so its field order is fixed) or nil.
+type ChromeEvent struct {
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Ts   float64  `json:"ts"`
+	Pid  int      `json:"pid"`
+	Tid  int      `json:"tid"`
+	Dur  *float64 `json:"dur,omitempty"`
+	S    string   `json:"s,omitempty"`
+	Args any      `json:"args,omitempty"`
 }
 
 // WriteChromeTrace renders the recorder's retained events as Chrome
@@ -62,7 +64,7 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, freqMHz int) error {
 	if freqMHz <= 0 {
 		return fmt.Errorf("obs: freqMHz must be positive, got %d", freqMHz)
 	}
-	return writeChromeJSON(w, buildChromeEvents(rec, freqMHz))
+	return WriteChromeJSON(w, buildChromeEvents(rec, freqMHz))
 }
 
 // buildChromeEvents assembles the pid 1/2 track events (metadata first) in
@@ -71,7 +73,7 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 	us := func(t sim.Time) float64 { return float64(t) / float64(freqMHz) }
 
 	events := rec.Events()
-	var out []chromeEvent
+	var out []any
 
 	// VCPU tracks, in first-appearance order.
 	vcpuTid := map[string]int{}
@@ -116,7 +118,7 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 		case GuestEnter:
 			st := span(e)
 			if st.haveExit {
-				out = append(out, chromeEvent{
+				out = append(out, ChromeEvent{
 					Name: st.exitReason, Ph: "X", Ts: us(st.exitT),
 					Pid: pidVCPU, Tid: st.tid, Dur: dur(st.exitT, e.T),
 					Args: &traceArgs{Detail: "hyp"},
@@ -128,7 +130,7 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 		case GuestExit:
 			st := span(e)
 			if st.inGuest {
-				out = append(out, chromeEvent{
+				out = append(out, ChromeEvent{
 					Name: "guest", Ph: "X", Ts: us(st.enterT),
 					Pid: pidVCPU, Tid: st.tid, Dur: dur(st.enterT, e.T),
 				})
@@ -142,14 +144,14 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 			if tid < 0 || tid >= maxPCPU {
 				tid = maxPCPU
 			}
-			var args *traceArgs
-			if e.Detail != "" || e.Arg != 0 {
-				args = &traceArgs{Detail: e.Detail, Arg: e.Arg}
-			}
-			out = append(out, chromeEvent{
+			ev := ChromeEvent{
 				Name: e.Kind.String(), Ph: "i", Ts: us(e.T),
-				Pid: pidPCPU, Tid: tid, S: "t", Args: args,
-			})
+				Pid: pidPCPU, Tid: tid, S: "t",
+			}
+			if e.Detail != "" || e.Arg != 0 {
+				ev.Args = &traceArgs{Detail: e.Detail, Arg: e.Arg}
+			}
+			out = append(out, ev)
 		}
 	}
 	// Close any span still open at the end of the stream.
@@ -165,7 +167,7 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 	for _, tid := range tids {
 		st := spans[tid]
 		if st.inGuest && endT > st.enterT {
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: "guest", Ph: "X", Ts: us(st.enterT),
 				Pid: pidVCPU, Tid: tid, Dur: dur(st.enterT, endT),
 			})
@@ -173,40 +175,33 @@ func buildChromeEvents(rec *Recorder, freqMHz int) []any {
 	}
 
 	// Metadata first: process and thread names for both track groups.
-	meta := []chromeEvent{
-		{Name: "process_name", Ph: "M", Pid: pidPCPU, Args: &traceArgs{Name: "pcpu"}},
-		{Name: "process_name", Ph: "M", Pid: pidVCPU, Args: &traceArgs{Name: "vcpu"}},
+	meta := []any{
+		ChromeEvent{Name: "process_name", Ph: "M", Pid: pidPCPU, Args: &traceArgs{Name: "pcpu"}},
+		ChromeEvent{Name: "process_name", Ph: "M", Pid: pidVCPU, Args: &traceArgs{Name: "vcpu"}},
 	}
 	for i := 0; i < maxPCPU; i++ {
-		meta = append(meta, chromeEvent{
+		meta = append(meta, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pidPCPU, Tid: i,
 			Args: &traceArgs{Name: fmt.Sprintf("pcpu%d", i)},
 		})
 	}
-	meta = append(meta, chromeEvent{
+	meta = append(meta, ChromeEvent{
 		Name: "thread_name", Ph: "M", Pid: pidPCPU, Tid: maxPCPU,
 		Args: &traceArgs{Name: "machine"},
 	})
 	for tid, name := range vcpuNames {
-		meta = append(meta, chromeEvent{
+		meta = append(meta, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pidVCPU, Tid: tid,
 			Args: &traceArgs{Name: name},
 		})
 	}
 
-	all := make([]any, 0, len(meta)+len(out))
-	for _, ev := range meta {
-		all = append(all, ev)
-	}
-	for _, ev := range out {
-		all = append(all, ev)
-	}
-	return all
+	return append(meta, out...)
 }
 
-// writeChromeJSON writes the events as a JSON array, one record per line —
+// WriteChromeJSON writes the events as a JSON array, one record per line —
 // the framing chrome://tracing and the jq assertions in CI both accept.
-func writeChromeJSON(w io.Writer, all []any) error {
+func WriteChromeJSON(w io.Writer, all []any) error {
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ import (
 // telemetry counter tracks; machine i uses pidCounterBase + i.
 const pidCounterBase = 3
 
-// counterEvent is one Chrome counter sample. Unlike chromeEvent its args
+// counterEvent is one Chrome counter sample. Unlike ChromeEvent its args
 // payload is a map: the keys are the counter's stacked sub-series.
 type counterEvent struct {
 	Name string           `json:"name"`
@@ -40,7 +40,7 @@ func WriteChromeTraceWithCounters(w io.Writer, rec *Recorder, freqMHz int, serie
 	}
 	all := buildChromeEvents(rec, freqMHz)
 	all = append(all, buildCounterEvents(series)...)
-	return writeChromeJSON(w, all)
+	return WriteChromeJSON(w, all)
 }
 
 // buildCounterEvents turns merged telemetry snapshots into counter tracks.
@@ -53,7 +53,7 @@ func buildCounterEvents(series []telemetry.Series) []any {
 			continue
 		}
 		pid := pidCounterBase + mi
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: &traceArgs{Name: fmt.Sprintf("telemetry m%d", mi)},
 		})

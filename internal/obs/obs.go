@@ -13,8 +13,8 @@
 // A Recorder is attached per machine (hw.Machine.SetRecorder) and holds one
 // fixed-capacity ring buffer per physical CPU plus one machine-level ring
 // for events with no CPU affinity. A nil *Recorder is valid and records
-// nothing — the same idiom as *trace.Breakdown — so instrumentation hooks
-// stay in place at zero cost when observability is off.
+// nothing, so instrumentation hooks stay in place at zero cost when
+// observability is off.
 package obs
 
 import (

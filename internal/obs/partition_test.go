@@ -103,6 +103,30 @@ func TestPartitionedProfileMerge(t *testing.T) {
 	// Merged totals survive ResetProfile + recharge.
 }
 
+// TestPartitionedProfileLeaves: the merged profile of a partitioned
+// recorder keeps the display names its partitions charged under, and its
+// flat view sums one leaf across partitions.
+func TestPartitionedProfileLeaves(t *testing.T) {
+	e := sim.NewEngine()
+	e.SetLookahead(10)
+	p1 := e.AddPartition("p1")
+	p2 := e.AddPartition("p2")
+	r := NewRecorder(2, 64)
+	r.Partition(3, []int{1, 2})
+	for _, part := range []sim.PartID{p1, p2} {
+		e.GoOn(part, "w", func(p *sim.Proc) {
+			r.Span(p, "phase")
+			r.ChargeCycles(p, "VGIC Regs: save", 25)
+			r.EndSpan(p)
+		})
+	}
+	e.Run()
+	want := []Leaf{{"VGIC Regs: save", 50}}
+	if got := r.Profile().Leaves(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Leaves = %+v, want %+v", got, want)
+	}
+}
+
 // TestSinglePartitionRecorderUnchanged: the default layout keeps the
 // original global-Seq semantics byte for byte.
 func TestSinglePartitionRecorderUnchanged(t *testing.T) {

@@ -157,6 +157,42 @@ func (pf *Profile) Entries() []ProfileEntry {
 	return out
 }
 
+// Leaf is one row of the profile's flat view: a charge name and the cycles
+// attributed to it under every phase stack it was charged in.
+type Leaf struct {
+	Name   string
+	Cycles int64
+}
+
+// Leaves returns the profile's flat view — the Table III shape: entry
+// cycles summed by leaf frame, in first-insertion DFS order, each leaf
+// named by the display name it was charged under ("VGIC Regs: save").
+// Display names come from the slug memo; if several share a slug the
+// lexicographically smallest is used.
+func (pf *Profile) Leaves() []Leaf {
+	if pf == nil {
+		return nil
+	}
+	display := make(map[string]string, len(pf.slugs))
+	for name, s := range pf.slugs {
+		if d, ok := display[s]; !ok || name < d {
+			display[s] = name
+		}
+	}
+	idx := map[string]int{}
+	var out []Leaf
+	for _, e := range pf.Entries() {
+		frame := e.Stack[len(e.Stack)-1]
+		if i, ok := idx[frame]; ok {
+			out[i].Cycles += e.Cycles
+			continue
+		}
+		idx[frame] = len(out)
+		out = append(out, Leaf{Name: display[frame], Cycles: e.Cycles})
+	}
+	return out
+}
+
 // TreeRow is one row of the rendered span tree: a phase or leaf with its
 // depth, its own cycles and its subtree total.
 type TreeRow struct {
@@ -304,6 +340,9 @@ func (r *Recorder) Profile() *Profile {
 		}
 		for _, e := range ps.prof.Entries() {
 			merged.addPath(e.Stack, e.Cycles)
+		}
+		for name, s := range ps.prof.slugs {
+			merged.slugs[name] = s
 		}
 	}
 	return merged

@@ -77,12 +77,41 @@ func TestSpanNestingAndAttribution(t *testing.T) {
 		t.Fatalf("Entries = %+v, want %+v", got, want)
 	}
 
+	// The flat view sums by leaf and keeps the charged display names.
+	wantLeaves := []Leaf{{"Trap to EL2", 100}, {"VGIC: save", 40}, {"GP Regs: save", 60}, {"IPI send", 7}}
+	if got := pf.Leaves(); !reflect.DeepEqual(got, wantLeaves) {
+		t.Fatalf("Leaves = %+v, want %+v", got, wantLeaves)
+	}
+
 	rows := pf.Tree()
 	if len(rows) != 7 {
 		t.Fatalf("Tree rows = %d, want 7: %+v", len(rows), rows)
 	}
 	if rows[0].Name != "hypercall" || rows[0].Total != 200 || rows[0].Self != 0 {
 		t.Fatalf("root row = %+v", rows[0])
+	}
+}
+
+// Leaves sums one charge name across every phase it was charged under and
+// keeps the order names were first seen in the DFS.
+func TestLeavesAggregateInFirstSeenOrder(t *testing.T) {
+	r := NewRecorder(1, 0)
+	p := new(sim.Proc)
+	r.Span(p, "a")
+	r.ChargeCycles(p, "X: save", 10)
+	r.ChargeCycles(p, "Y", 5)
+	r.EndSpan(p)
+	r.Span(p, "b")
+	r.ChargeCycles(p, "Y", 7)
+	r.ChargeCycles(p, "X: save", 1)
+	r.ChargeCycles(p, "Z", 2)
+	r.EndSpan(p)
+	want := []Leaf{{"X: save", 11}, {"Y", 12}, {"Z", 2}}
+	if got := r.Profile().Leaves(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Leaves = %+v, want %+v", got, want)
+	}
+	if got := (*Profile)(nil).Leaves(); got != nil {
+		t.Fatalf("nil profile Leaves = %+v", got)
 	}
 }
 

@@ -1,15 +1,16 @@
 package runlog
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"armvirt/internal/obs"
 )
 
-// Chrome trace-event export of one ledger entry, following the
-// internal/obs/chrome.go encoding idiom: struct-typed events so field
-// order (and therefore the serialized bytes) is fixed, metadata records
-// first, one event per line inside a JSON array. The output loads
+// Chrome trace-event export of one ledger entry, built from obs's event
+// type and written by obs's array writer: struct-typed events and args so
+// field order (and therefore the serialized bytes) is fixed, metadata
+// records first, one event per line inside a JSON array. The output loads
 // directly in Perfetto / chrome://tracing.
 //
 // Track layout — the two timebases are separate track groups:
@@ -46,18 +47,6 @@ type traceEventArgs struct {
 	Outbox  int64 `json:"outbox_msgs,omitempty"`
 }
 
-// traceEvent is one trace record; field order matches the obs encoder's
-// {"name","ph","ts","pid","tid",...} shape.
-type traceEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Ts   float64         `json:"ts"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	Dur  *float64        `json:"dur,omitempty"`
-	Args *traceEventArgs `json:"args,omitempty"`
-}
-
 func durUS(us int64) *float64 {
 	d := float64(us)
 	return &d
@@ -72,15 +61,15 @@ func WriteChromeTrace(w io.Writer, e *Entry) error {
 	}
 
 	// Metadata: both track groups and their threads, fixed order.
-	events := []traceEvent{
-		{Name: "process_name", Ph: "M", Pid: pidWall, Args: &traceEventArgs{Name: "wall"}},
-		{Name: "thread_name", Ph: "M", Pid: pidWall, Tid: 0, Args: &traceEventArgs{Name: "request"}},
+	events := []any{
+		obs.ChromeEvent{Name: "process_name", Ph: "M", Pid: pidWall, Args: &traceEventArgs{Name: "wall"}},
+		obs.ChromeEvent{Name: "thread_name", Ph: "M", Pid: pidWall, Tid: 0, Args: &traceEventArgs{Name: "request"}},
 	}
 	if len(e.Engines) > 0 {
 		events = append(events,
-			traceEvent{Name: "process_name", Ph: "M", Pid: pidSim, Args: &traceEventArgs{Name: "sim"}})
+			obs.ChromeEvent{Name: "process_name", Ph: "M", Pid: pidSim, Args: &traceEventArgs{Name: "sim"}})
 		for i := range e.Engines {
-			events = append(events, traceEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pidSim, Tid: i,
 				Args: &traceEventArgs{Name: fmt.Sprintf("engine%d", i)},
 			})
@@ -96,13 +85,13 @@ func WriteChromeTrace(w io.Writer, e *Entry) error {
 	if e.Outcome != "" {
 		detail += " [" + e.Outcome + "]"
 	}
-	events = append(events, traceEvent{
+	events = append(events, obs.ChromeEvent{
 		Name: fmt.Sprintf("request %s", e.ID), Ph: "X", Ts: 0,
 		Pid: pidWall, Tid: 0, Dur: durUS(e.TotalUS),
 		Args: &traceEventArgs{Detail: detail},
 	})
 	e.EachSpan(func(s *Span) {
-		events = append(events, traceEvent{
+		events = append(events, obs.ChromeEvent{
 			Name: s.Name, Ph: "X", Ts: float64(s.StartUS),
 			Pid: pidWall, Tid: 0, Dur: durUS(s.DurUS),
 		})
@@ -113,7 +102,7 @@ func WriteChromeTrace(w io.Writer, e *Entry) error {
 	// a counter event per partition carrying the PDES health breakdown —
 	// quantum windows, barrier-stall cycles, outbox messages.
 	for i, es := range e.Engines {
-		events = append(events, traceEvent{
+		events = append(events, obs.ChromeEvent{
 			Name: "engine run", Ph: "X", Ts: 0,
 			Pid: pidSim, Tid: i, Dur: durUS(es.Cycles),
 			Args: &traceEventArgs{
@@ -129,7 +118,7 @@ func WriteChromeTrace(w io.Writer, e *Entry) error {
 			if name == "" {
 				name = fmt.Sprintf("part%d", ps.Part)
 			}
-			events = append(events, traceEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: fmt.Sprintf("engine%d %s health", i, name), Ph: "C", Ts: 0,
 				Pid: pidSim, Tid: i,
 				Args: &traceEventArgs{
@@ -140,22 +129,5 @@ func WriteChromeTrace(w io.Writer, e *Entry) error {
 		}
 	}
 
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == len(events)-1 {
-			sep = "\n"
-		}
-		if _, err := w.Write(append(b, sep...)); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
-	return err
+	return obs.WriteChromeJSON(w, events)
 }

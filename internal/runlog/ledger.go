@@ -268,24 +268,40 @@ func (l *Ledger) Close() error {
 	return err
 }
 
+// maxLineBytes bounds one ledger line ReadAll will parse; longer lines are
+// skipped like any other unparseable line.
+const maxLineBytes = 4 << 20
+
 // ReadAll parses ledger JSONL from r in file order, skipping lines that
 // fail to parse (a torn final line after a crash must not poison the
-// query). Returns the entries and the byte offset just past the last
-// complete line, so tailing readers can resume there.
-func ReadAll(r io.Reader) ([]*Entry, int64) {
+// query) and lines longer than maxLineBytes. CRLF line endings are
+// accepted. The error is r's, if reading it failed.
+func ReadAll(r io.Reader) ([]*Entry, error) {
 	var out []*Entry
-	var off int64
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	br := bufio.NewReader(r)
+	var line []byte
+	long := false
+	for {
+		chunk, err := br.ReadSlice('\n')
+		long = long || len(line)+len(chunk) > maxLineBytes
+		if !long {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
 		var e Entry
-		if err := json.Unmarshal(line, &e); err == nil && e.ID != "" {
+		if !long && json.Unmarshal(line, &e) == nil && e.ID != "" {
 			out = append(out, &e)
 		}
-		off += int64(len(line)) + 1
+		line, long = line[:0], false
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
 	}
-	return out, off
 }
 
 // ReadFile reads one ledger file (see ReadAll). A rotated sibling
@@ -294,16 +310,22 @@ func ReadAll(r io.Reader) ([]*Entry, int64) {
 func ReadFile(path string) ([]*Entry, error) {
 	var out []*Entry
 	if prev, err := os.Open(path + ".1"); err == nil {
-		es, _ := ReadAll(prev)
+		es, err := ReadAll(prev)
 		prev.Close()
-		out = append(out, es...)
+		if err != nil {
+			return nil, fmt.Errorf("runlog: read ledger: %w", err)
+		}
+		out = es
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("runlog: read ledger: %w", err)
 	}
 	defer f.Close()
-	es, _ := ReadAll(f)
+	es, err := ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("runlog: read ledger: %w", err)
+	}
 	return append(out, es...), nil
 }
 
