@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke ci
+.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke ci
 
 all: build test
 
@@ -52,67 +52,24 @@ prof-determinism:
 	/tmp/armvirt-prof -j 4 -folded > /tmp/prof-parallel.folded
 	diff -u /tmp/prof-serial.folded /tmp/prof-parallel.folded
 
-# par-determinism checks the parallel engine's byte-identity contract end
-# to end: the full report JSON and the folded profiler stacks must not
-# change one byte between -par 1 (sequential windows) and -par $(NPROC)
-# (one host worker per partition, capped by the machine).
-NPROC ?= $(shell nproc 2>/dev/null || echo 4)
-par-determinism:
-	$(GO) build -o /tmp/armvirt-report ./cmd/armvirt-report
-	$(GO) build -o /tmp/armvirt-prof ./cmd/armvirt-prof
-	/tmp/armvirt-report -json -par 1 > /tmp/report-par1.json
-	/tmp/armvirt-report -json -par $(NPROC) > /tmp/report-parN.json
-	diff -u /tmp/report-par1.json /tmp/report-parN.json
-	/tmp/armvirt-prof -folded -par 1 > /tmp/prof-par1.folded
-	/tmp/armvirt-prof -folded -par $(NPROC) > /tmp/prof-parN.folded
-	diff -u /tmp/prof-par1.folded /tmp/prof-parN.folded
-
 # telemetry-determinism checks the in-sim sampler's byte-identity
 # contract: the full PD1 fleet time series (per-PCPU utilization, steal,
 # run-queue depth, exits, IRQ latency) rendered by armvirt-top must not
-# change one byte between -par 1 and -par $(NPROC). CI archives the CSV.
+# change one byte between two separate processes, one of them confined
+# to a single OS thread (GOMAXPROCS=1). CI archives the CSV and JSON.
 telemetry-determinism:
 	$(GO) build -o /tmp/armvirt-top ./cmd/armvirt-top
-	/tmp/armvirt-top -exp PD1 -format csv -par 1 > /tmp/telemetry-par1.csv
-	/tmp/armvirt-top -exp PD1 -format csv -par $(NPROC) > /tmp/telemetry-parN.csv
-	diff -u /tmp/telemetry-par1.csv /tmp/telemetry-parN.csv
-	/tmp/armvirt-top -exp PD1 -format json -par 1 > /tmp/telemetry-par1.json
-	/tmp/armvirt-top -exp PD1 -format json -par $(NPROC) > /tmp/telemetry-parN.json
-	diff -u /tmp/telemetry-par1.json /tmp/telemetry-parN.json
-	@grep -q ',steal,' /tmp/telemetry-par1.csv || { echo "no steal series in PD1 telemetry"; exit 1; }
-	@echo "telemetry-determinism: OK (PD1 series byte-identical at -par 1 and -par $(NPROC))"
+	/tmp/armvirt-top -exp PD1 -format csv > /tmp/telemetry-a.csv
+	GOMAXPROCS=1 /tmp/armvirt-top -exp PD1 -format csv > /tmp/telemetry-b.csv
+	diff -u /tmp/telemetry-a.csv /tmp/telemetry-b.csv
+	/tmp/armvirt-top -exp PD1 -format json > /tmp/telemetry-a.json
+	GOMAXPROCS=1 /tmp/armvirt-top -exp PD1 -format json > /tmp/telemetry-b.json
+	diff -u /tmp/telemetry-a.json /tmp/telemetry-b.json
+	@grep -q ',steal,' /tmp/telemetry-a.csv || { echo "no steal series in PD1 telemetry"; exit 1; }
+	@echo "telemetry-determinism: OK (PD1 series byte-identical across processes and GOMAXPROCS)"
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkSleepQueued|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim
-
-# bench-json runs the perf-trajectory suite — the engine hot-path
-# microbenchmarks, the experiment-level worker pool (core.RunAll at j=1
-# vs j=NumCPU), the PDES speedup benchmark (the 8-PCPU fleet at
-# -par 1/2/4 with the engine's window/stall/outbox health counters),
-# and a serving-tier point: one replica primed cold then driven by
-# armvirt-loadgen, whose -json report benchjson folds in under
-# "loadgen" — and records it all as BENCH_9.json via armvirt-benchjson
-# (host metadata + every result + derived par/j speedups). CI uploads
-# the file as an artifact; speedups only show on multi-core hosts.
-bench-json:
-	$(GO) build -o /tmp/armvirt-benchjson ./cmd/armvirt-benchjson
-	$(GO) build -o /tmp/armvirt-serve ./cmd/armvirt-serve
-	$(GO) build -o /tmp/armvirt-loadgen ./cmd/armvirt-loadgen
-	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkProcSwitch|BenchmarkQueueSendRecv' -benchmem -benchtime 100ms ./internal/sim > /tmp/bench-engine.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRunAll' -benchtime 1x ./internal/core > /tmp/bench-runall.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 5x ./internal/workload > /tmp/bench-fleet.txt
-	@set -e; \
-	/tmp/armvirt-serve -addr 127.0.0.1:18190 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18190/readyz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	curl -fsS "http://127.0.0.1:18190/v1/experiments/T1?format=json" >/dev/null; \
-	curl -fsS "http://127.0.0.1:18190/v1/experiments/T2?format=json" >/dev/null; \
-	/tmp/armvirt-loadgen -targets http://127.0.0.1:18190 \
-	  -paths "/v1/experiments/T1?format=json,/v1/experiments/T2?format=json" \
-	  -rps 40 -duration 3s -json > /tmp/bench-loadgen.json; \
-	kill -TERM $$pid; wait $$pid
-	/tmp/armvirt-benchjson -out BENCH_9.json /tmp/bench-engine.txt /tmp/bench-runall.txt /tmp/bench-fleet.txt /tmp/bench-loadgen.json
-	@echo "wrote BENCH_9.json"
 
 # serve-smoke boots the armvirt-serve daemon, waits for /healthz, then
 # checks the cache-correctness contract end to end: a cold (fresh-run)
@@ -225,4 +182,4 @@ cluster-smoke:
 	kill -TERM $$p4; wait $$p4; \
 	echo "cluster-smoke: OK (exactly-once cold, byte identity, rolling drain with zero errors, disk-tier warm restart)"
 
-ci: fmt-check lint build race flake report-diff prof-determinism par-determinism telemetry-determinism bench-smoke bench-json serve-smoke cluster-smoke
+ci: fmt-check lint build race flake report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"armvirt/internal/bench"
-	"armvirt/internal/cliutil"
 )
 
 func main() {
@@ -22,9 +21,7 @@ func main() {
 	distributed := flag.Bool("distributed", false, "run the request-serving workloads with virtual interrupts distributed across VCPUs")
 	virqdist := flag.Bool("virqdist", false, "also print the virq-distribution experiment")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON (structured result rows) instead of the tables")
-	par := cliutil.ParFlag()
 	flag.Parse()
-	cliutil.BindPar(*par)
 
 	var results []bench.Result
 	if *tcprrOnly {

@@ -16,8 +16,8 @@
 // rest instead of manufacturing failures.
 //
 // Latencies feed the same log2-bucketed stats.Histogram the study's
-// instrumentation uses. -json emits a cluster.LoadReport document that
-// armvirt-benchjson folds into BENCH_*.json.
+// instrumentation uses. -json emits a cluster.LoadReport document, the
+// shape `make cluster-smoke` checks with jq.
 package main
 
 import (

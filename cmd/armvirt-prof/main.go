@@ -10,7 +10,7 @@
 //	armvirt-prof -platform "KVM ARM" -op vmswitch -trace-out sw.json   # Chrome timeline
 //
 // Units run on a worker pool (-j) but are assembled in a fixed order, so
-// every output is byte-identical across runs and parallelism levels.
+// every output is byte-identical across runs and -j levels.
 package main
 
 import (
@@ -30,15 +30,13 @@ import (
 func main() {
 	platformFlag := flag.String("platform", "", `profile a single platform ("KVM ARM", "Xen ARM", "KVM x86", "Xen x86", "KVM ARM (VHE)"; default all four paper platforms)`)
 	opFlag := flag.String("op", "", "profile a single operation ("+strings.Join(micro.TracedOps, ", ")+"; default all)")
-	jobs := flag.Int("j", runtime.NumCPU(), "number of units to profile in parallel (experiment-level; see also -par)")
-	par := cliutil.ParFlag()
+	jobs := flag.Int("j", runtime.NumCPU(), "number of units to profile in parallel")
 	table := flag.Bool("table", false, "print per-phase breakdown tables (default when no output is selected)")
 	folded := flag.Bool("folded", false, "print collapsed-stack flamegraph lines to stdout")
 	pprofOut := flag.String("pprof", "", "write a gzipped pprof profile to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the profiled run to this file (needs -platform and -op)")
 	flag.Parse()
 	cliutil.CheckJobs(*jobs)
-	cliutil.BindPar(*par)
 
 	var labels, ops []string
 	if *platformFlag != "" {

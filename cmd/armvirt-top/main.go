@@ -6,11 +6,12 @@
 //
 //	armvirt-top -exp PD1
 //	armvirt-top -exp PD1 -at 120
-//	armvirt-top -exp PD1 -format csv -par 4 > series.csv
+//	armvirt-top -exp PD1 -format csv > series.csv
 //
 // The sampler rides the simulation's event clock, so the output is a pure
-// function of the experiment: byte-identical across runs, -j levels, and
-// every -par value — the property `make telemetry-determinism` asserts.
+// function of the experiment: byte-identical across runs and processes,
+// whatever GOMAXPROCS is — the property `make telemetry-determinism`
+// asserts.
 package main
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"armvirt/internal/cliutil"
 	"armvirt/internal/core"
 	"armvirt/internal/sim"
 	"armvirt/internal/telemetry"
@@ -29,7 +29,6 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv, or json")
 	at := flag.Float64("at", -1, "with -format table: also print the per-PCPU state at this simulated time (us)")
 	intervalUs := flag.Float64("interval-us", 10, "sampling bucket width in simulated microseconds")
-	par := cliutil.ParFlag()
 	flag.Parse()
 
 	e := core.ByID(*exp)
@@ -48,7 +47,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-interval-us %g out of range: need a positive bucket width\n", *intervalUs)
 		os.Exit(2)
 	}
-	cliutil.BindPar(*par)
 
 	var rep core.Report
 	col := telemetry.Collect(*intervalUs, func() { rep = core.RunOne(*e) })

@@ -19,13 +19,12 @@
 //
 // Forgetting the bind() does not fail: the engine simply registers with
 // no collector and its EngineStats vanish from the merged report — the
-// silently-wrong class of bug that took PR 6's -par determinism work a
-// debugging session to find. bindcheck makes it a compile-time finding:
+// silently-wrong class of bug that once took a debugging session to
+// find. bindcheck makes it a compile-time finding:
 // for every `go` statement whose launched function is statically
 // resolvable, it walks the module call graph from the launched body; if
 // anything reachable calls sim.NewEngine without a sim-side bind
-// (Bind/CollectStats/BindParallelism/InheritStats-bind) anywhere in that
-// same closure, or telemetry.EngineSampler without a telemetry-side bind (the telemetry wrappers Bind/Collect/
+// (Bind/CollectStats/InheritStats-bind) anywhere in that same closure, or telemetry.EngineSampler without a telemetry-side bind (the telemetry wrappers Bind/Collect/
 // Inherit-bind, or sim.BindTelemetry they delegate to), the launch site
 // is reported.
 //

@@ -3,7 +3,7 @@
 //
 // The per-package analyzers from the original suite (detclock, mapiter,
 // nilrecorder, spanbalance) are syntactic: everything they need is visible
-// in one type-checked package. The invariants the parallel engine
+// in one type-checked package. The invariants the partitioned engine
 // (DESIGN.md §11) and the goroutine-bound collectors (§10, §12) introduced
 // are not package-local — whether a function runs inside partitioned
 // dispatch, or whether a spawned goroutine eventually builds an engine,
@@ -86,8 +86,8 @@ type FuncFacts struct {
 
 	// BindsSim / BindsTelemetry report that the body attaches the
 	// goroutine-scoped collectors: a call to (*sim.StatsCollector).Bind,
-	// sim.CollectStats, sim.BindParallelism, or the bind function returned
-	// by sim.InheritStats (resp. the telemetry wrappers
+	// sim.CollectStats, or the bind function returned by sim.InheritStats
+	// (resp. the telemetry wrappers
 	// (*telemetry.Collector).Bind, telemetry.Collect and the bind returned
 	// by telemetry.Inherit, or sim.BindTelemetry, the registry entry they
 	// delegate to).
@@ -418,7 +418,7 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 		switch fn.Name() {
 		case "NewEngine":
 			ff.CreatesEngine = true
-		case "CollectStats", "BindParallelism":
+		case "CollectStats":
 			ff.BindsSim = true
 		case "BindTelemetry":
 			ff.BindsTelemetry = true

@@ -1,14 +1,18 @@
-// partsafe: code reachable from partitioned dispatch must not write
-// shared package-level state.
+// partsafe: code reachable from engine dispatch must not write shared
+// package-level state.
 //
-// The conservative-parallel engine (DESIGN.md §11) is byte-identical to
-// the serial engine only because partitions cannot observe each other
-// mid-quantum: each shard owns its partition's processes and state, and
-// the only cross-partition channel is Engine.SendTo, whose messages are
-// drained at barriers in deterministic (time, sender, sequence) order. A
-// package-level variable written from inside dispatch breaks that proof:
-// two shards racing on it make the run order — and therefore the merged
-// statistics — depend on host scheduling.
+// Every engine runs its events on one goroutine — a partitioned engine
+// dispatches its quantum windows one partition after another (DESIGN.md
+// §11) — but engines themselves run concurrently: core.RunAll -j runs
+// experiments on a worker pool, and every serve request that misses the
+// cache runs its own. A package-level variable written from inside
+// dispatch is shared by all of those engines. Two of them racing on it
+// make a run's output — and the merged statistics — depend on which
+// other runs happened to overlap it, i.e. on host scheduling. Within one
+// partitioned engine the same write would also leak state between
+// partitions outside Engine.SendTo, the only cross-partition channel,
+// whose messages are drained at barriers in deterministic (time, sender,
+// sequence) order.
 //
 // partsafe walks the module call graph from every function value handed
 // to the engine's dispatch surface (Go/GoAt/GoOn/At/After/SendTo and the
@@ -17,7 +21,7 @@
 // within the deterministic scope (the detclock scope). The remediation
 // is the same one the engine itself uses: route the mutation through
 // Engine.SendTo so it lands at a barrier, or move the state onto the
-// process/partition that owns it.
+// engine, process or partition that owns it.
 //
 // Escape: a `//armvirt:partshared` comment on the write's line (or the
 // line above) marks state that is deliberately shared and externally

@@ -29,6 +29,16 @@ func buildAndRun() {
 	e.Run()
 }
 
+// BadParallelismOnly calls only sim.BindParallelism, a no-op that binds
+// no stats collector: the engine's stats vanish exactly as in BadEngine.
+func BadParallelismOnly() {
+	go func() { // want `goroutine reaches sim.NewEngine without binding a stats collector`
+		defer sim.BindParallelism(2)()
+		e := sim.NewEngine()
+		e.Run()
+	}()
+}
+
 // BadSampler drops telemetry instead of stats.
 func BadSampler() {
 	go func() { // want `goroutine reaches telemetry.EngineSampler without binding a telemetry collector`

@@ -56,8 +56,9 @@ func InheritStats() func() func() {
 // CollectStats binds a fresh collector to the calling goroutine.
 func CollectStats() *StatsCollector { return &StatsCollector{} }
 
-// BindParallelism records the -par level on the bound collector.
-func BindParallelism(n int) {}
+// BindParallelism is a no-op in the real package: it binds nothing, so
+// it is no stats-collector bind.
+func BindParallelism(n int) func() { return func() {} }
 
 // BindTelemetry is the registry entry the telemetry wrappers delegate to.
 func BindTelemetry(v any) func() { return func() {} }

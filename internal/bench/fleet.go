@@ -12,8 +12,7 @@ import (
 // FleetResult is the partitioned-engine extension experiment: the fleet
 // workload (every CPU running a hackbench-style token ring, synchronized
 // by IPI barriers) on the partitioned ARM machine. Its output is a pure
-// function of the simulation — no row or rendered byte depends on the
-// engine's host worker count, which is the parallel engine's determinism
+// function of the simulation — the partitioned engine's determinism
 // contract made diffable.
 type FleetResult struct {
 	Fleet workload.FleetResult
@@ -23,10 +22,7 @@ type FleetResult struct {
 	ProfiledCycles int64
 }
 
-// RunFleet runs the fleet scenario on a partitioned ARM machine. The
-// engine's worker count comes from the caller's parallelism binding
-// (sim.BindParallelism / the CLIs' -par flag); results are byte-identical
-// at every setting.
+// RunFleet runs the fleet scenario on a partitioned ARM machine.
 func RunFleet() FleetResult {
 	m := platform.ARMMachinePartitioned()
 	rec := obs.NewRecorder(m.NCPU(), 1<<12)
@@ -72,6 +68,9 @@ func (r FleetResult) Render() string {
 	fmt.Fprintf(&b, "total: %d hops, %d IPIs, %.1f us simulated, %d events, %d profiled cycles\n",
 		r.Fleet.Hops, r.Fleet.IPIs, r.Fleet.ElapsedUs, r.Events, r.ProfiledCycles)
 	fmt.Fprintf(&b, "checksum: %016x (folds every hop and IRQ with its timestamp;\n", r.Fleet.Checksum)
+	// The -par flag this line names is gone, but the line stays
+	// byte-for-byte: PD1's rendered text is pinned by digest in
+	// perfbench/pins.json (PD1/text).
 	b.WriteString(" identical at every -par level by the engine's determinism contract)\n")
 	return b.String()
 }

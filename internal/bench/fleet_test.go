@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"armvirt/internal/sim"
@@ -9,38 +10,55 @@ import (
 
 // TestFleetRowsIdenticalAcrossWorkers runs PD1 as registered — IPIs
 // leaving through Proc.SendTo, deliveries landing through Part handles —
-// at engine parallelism 1, 2, 4 and 8 and requires byte-identical rows,
-// rendered text and merged engine stats.
+// on the calling goroutine and concurrently on worker goroutines, the way
+// core.RunAll -j and concurrent serve requests run it, and requires
+// byte-identical rows, rendered text and merged engine stats.
 func TestFleetRowsIdenticalAcrossWorkers(t *testing.T) {
-	run := func(par int) (rows, stats []byte, text string) {
-		detach := sim.BindParallelism(par)
-		defer detach()
+	type out struct {
+		rows, stats []byte
+		text        string
+		err         error
+	}
+	run := func() (o out) {
 		var res FleetResult
 		col := sim.CollectStats(func() { res = RunFleet() })
-		rows, err := json.Marshal(res.Rows())
-		if err != nil {
-			t.Fatal(err)
+		if o.rows, o.err = json.Marshal(res.Rows()); o.err != nil {
+			return o
 		}
-		stats, err = json.Marshal(col.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows, stats, res.Render()
+		o.stats, o.err = json.Marshal(col.Snapshot())
+		o.text = res.Render()
+		return o
 	}
-	baseRows, baseStats, baseText := run(1)
-	if len(baseRows) < 100 || len(baseText) < 100 {
-		t.Fatalf("degenerate PD1 output: %s", baseRows)
+	base := run()
+	if base.err != nil {
+		t.Fatal(base.err)
 	}
-	for _, par := range []int{2, 4, 8} {
-		rows, stats, text := run(par)
-		if string(rows) != string(baseRows) {
-			t.Fatalf("par=%d rows differ from par=1:\n%s\n%s", par, rows, baseRows)
+	if len(base.rows) < 100 || len(base.text) < 100 {
+		t.Fatalf("degenerate PD1 output: %s", base.rows)
+	}
+	runs := make([]out, 3)
+	var wg sync.WaitGroup
+	for i := 1; i < len(runs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i] = run()
+		}()
+	}
+	runs[0] = run()
+	wg.Wait()
+	for i, o := range runs {
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
-		if string(stats) != string(baseStats) {
-			t.Fatalf("par=%d engine stats differ from par=1:\n%s\n%s", par, stats, baseStats)
+		if string(o.rows) != string(base.rows) {
+			t.Fatalf("run %d rows differ from the first run:\n%s\n%s", i, o.rows, base.rows)
 		}
-		if text != baseText {
-			t.Fatalf("par=%d rendered text differs from par=1", par)
+		if string(o.stats) != string(base.stats) {
+			t.Fatalf("run %d engine stats differ from the first run:\n%s\n%s", i, o.stats, base.stats)
+		}
+		if o.text != base.text {
+			t.Fatalf("run %d rendered text differs from the first run", i)
 		}
 	}
 }

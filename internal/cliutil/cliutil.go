@@ -1,47 +1,15 @@
-// Package cliutil keeps the study CLIs' shared flags consistent. Two
-// parallelism knobs exist and they compose:
-//
-//   - -j N   (experiment-level): how many experiments or profiling units
-//     run concurrently, each on its own private engine. Output order is
-//     fixed, so results are byte-identical at any -j.
-//   - -par N (engine-level): how many host workers each simulation's
-//     partitioned engine may use (sim.BindParallelism). The engine's
-//     determinism contract makes results byte-identical at any -par.
-//
-// Both knobs only trade host wall-clock time; neither may change a single
-// output byte. Invalid values exit with status 2, the CLIs' usage-error
+// Package cliutil keeps the study CLIs' shared flags consistent. Their one
+// parallelism knob is -j N: how many experiments or profiling units run
+// concurrently, each on its own private engine. Output order is fixed, so
+// results are byte-identical at any -j; the knob only trades host
+// wall-clock time. Invalid values exit with status 2, the CLIs' usage-error
 // convention.
 package cliutil
 
 import (
-	"flag"
 	"fmt"
 	"os"
-
-	"armvirt/internal/sim"
 )
-
-// MaxPar bounds -par: more workers than this is certainly a typo, and the
-// engine clamps to the partition count anyway.
-const MaxPar = 1024
-
-// ParFlag registers the -par flag.
-func ParFlag() *int {
-	return flag.Int("par", 1,
-		fmt.Sprintf("host workers per simulation engine (engine-level; 1-%d). Results are byte-identical at every value; see also -j", MaxPar))
-}
-
-// BindPar validates -par and binds it to the calling goroutine, so every
-// engine the command builds (directly or via core.RunAll's inheriting
-// workers) uses n host workers for partitioned runs. Exits 2 on an
-// out-of-range value.
-func BindPar(n int) {
-	if n < 1 || n > MaxPar {
-		fmt.Fprintf(os.Stderr, "-par %d out of range: valid values are 1..%d\n", n, MaxPar)
-		os.Exit(2)
-	}
-	sim.BindParallelism(n)
-}
 
 // CheckJobs validates a -j value. Exits 2 when it is not positive.
 func CheckJobs(n int) {

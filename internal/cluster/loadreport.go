@@ -1,14 +1,12 @@
 package cluster
 
-// LoadReport is armvirt-loadgen's machine-readable summary — the shape
-// shared between the load generator (which emits it under -json) and
-// armvirt-benchjson (which folds it into BENCH_*.json as a serving-perf
-// trajectory point). Latency quantiles come from stats.Histogram, so
+// LoadReport is armvirt-loadgen's machine-readable summary, emitted under
+// -json (`make cluster-smoke` reads its errors, outcomes and unready
+// counts with jq). Latency quantiles come from stats.Histogram, so
 // they carry that histogram's documented semantics: log2-bucket
 // estimates, at most a factor of two off the true order statistic.
 type LoadReport struct {
-	// Kind identifies the document ("armvirt-loadgen"); benchjson keys
-	// its JSON sniffing on it.
+	// Kind identifies the document ("armvirt-loadgen").
 	Kind    string   `json:"kind"`
 	Targets []string `json:"targets"`
 	Paths   []string `json:"paths"`

@@ -83,7 +83,7 @@ type Distributor struct {
 	// sampler (set via hw.Machine.SetSampler alongside Rec).
 	Tel *telemetry.Sampler
 	// PartOf, when non-nil, maps a CPU to its engine partition: the
-	// machine runs on a partitioned engine (conservative parallel
+	// machine runs on a partitioned engine (conservative partitioned
 	// simulation) and every delivery is routed as a cross-partition
 	// message so it executes — and emits its PhysIRQ event — on the
 	// target CPU's partition. The wire latency must be >= the engine's

@@ -25,7 +25,9 @@ func TestConstructionAllocs(t *testing.T) {
 	if engine != 3 || machine != 78 {
 		t.Fatalf("unbound NewEngine/hw.New allocate %v/%v times, want 3/78", engine, machine)
 	}
-	detach := sim.BindParallelism(2)
+	// Any binding makes NewEngine consult the registry; a value that is
+	// not a telemetry collector adds the lookup without adding a sampler.
+	detach := sim.BindTelemetry(struct{}{})
 	defer detach()
 	boundEngine := testing.AllocsPerRun(500, func() { sim.NewEngine() })
 	boundMachine := testing.AllocsPerRun(500, func() { New(cfg) })

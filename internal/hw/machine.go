@@ -48,10 +48,10 @@ type Config struct {
 	TLBCapacity int
 	// PartitionPerCPU places each physical CPU on its own engine
 	// partition (partition 0 keeps shared devices), turning the machine
-	// into a conservative parallel simulation. The engine's lookahead is
-	// the cost model's IPI wire latency — the minimum delay of any
+	// into a conservative partitioned simulation. The engine's lookahead
+	// is the cost model's IPI wire latency — the minimum delay of any
 	// cross-CPU interaction — so results are byte-identical to the
-	// single-partition machine at every worker count.
+	// single-partition machine.
 	PartitionPerCPU bool
 }
 
@@ -199,8 +199,8 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 // SetSampler attaches (or, with nil, detaches) a telemetry sampler and
 // wires it into the GIC distributor. On a partitioned machine the sampler
 // is split to mirror the engine layout — pcpu i's samples land in
-// partition buffer i+1 — so hooks never contend across partitions and the
-// merged series is byte-identical at every worker count.
+// partition buffer i+1 — and the merged series follows the sampler's
+// fixed partition merge order.
 func (m *Machine) SetSampler(s *telemetry.Sampler) {
 	m.Tel = s
 	if m.Dist != nil {

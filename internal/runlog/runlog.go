@@ -72,11 +72,6 @@ type Entry struct {
 	// Outcome is the cache outcome ("hit", "miss", "shared") for routes
 	// that consult the result cache.
 	Outcome string `json:"outcome,omitempty"`
-	// Par is the engine worker count the request asked for (?par=N); 0
-	// means the default of 1. It never affects the response bytes — the
-	// parallel engine is deterministic — so it is not part of the cache
-	// key, only of this wall-time record.
-	Par int `json:"par,omitempty"`
 	// Upstream is the run ID of the replica that forwarded this request
 	// here (the inbound X-Armvirt-Run header on a cluster-forwarded
 	// request), so the owner's entry links back to the sender's ledger.
@@ -142,16 +137,6 @@ func (t *Trace) SetTarget(target, format string) {
 	}
 	t.mu.Lock()
 	t.entry.Target, t.entry.Format = target, format
-	t.mu.Unlock()
-}
-
-// SetPar records the engine worker count the request ran with.
-func (t *Trace) SetPar(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.entry.Par = n
 	t.mu.Unlock()
 }
 

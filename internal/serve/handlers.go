@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"armvirt/internal/bench"
-	"armvirt/internal/cliutil"
 	"armvirt/internal/cluster"
 	"armvirt/internal/core"
 	"armvirt/internal/runlog"
@@ -138,23 +136,6 @@ func pickFormat(w http.ResponseWriter, r *http.Request, allowed ...string) (stri
 	return "", false
 }
 
-// pickPar validates the request's ?par= — the engine-level worker count
-// (the CLIs' -par flag over HTTP). Defaults to 1; out-of-range or
-// non-numeric values get a 400 naming the valid range.
-func pickPar(w http.ResponseWriter, r *http.Request) (int, bool) {
-	q := r.URL.Query().Get("par")
-	if q == "" {
-		return 1, true
-	}
-	n, err := strconv.Atoi(q)
-	if err != nil || n < 1 || n > cliutil.MaxPar {
-		http.Error(w, fmt.Sprintf("bad par %q: valid values are 1..%d", q, cliutil.MaxPar),
-			http.StatusBadRequest)
-		return 0, false
-	}
-	return n, true
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
@@ -269,15 +250,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	par, ok := pickPar(w, r)
-	if !ok {
-		return
-	}
 	tr := runlog.TraceFrom(r.Context())
 	tr.SetTarget(id, format)
-	tr.SetPar(par)
-	// par is deliberately not part of the cache key: the parallel engine
-	// is deterministic, so the response bytes are the same at every value.
 	key := fmt.Sprintf("exp\x00%s\x00%s\x00%s", e.ID, s.hash, format)
 	if s.clusterForward(w, r, tr, key) {
 		return
@@ -292,10 +266,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	sp := tr.Start("cache")
 	val, outcome, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		return s.adm.Do(ctx, func() ([]byte, error) {
-			// Bind on the leader's goroutine so every engine the
-			// experiment builds inherits the worker count.
-			detach := sim.BindParallelism(par)
-			defer detach()
 			return renderExperiment(tr, s.runOne, *e, format)
 		})
 	})

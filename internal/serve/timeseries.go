@@ -16,8 +16,7 @@ import (
 // telemetry collector and serves the merged per-PCPU/per-VM time series.
 // Like the report endpoint, the payload is cached under the study hash:
 // the sampler rides the deterministic event clock, so the series bytes
-// are a pure function of (experiment, study hash, format) and ?par= stays
-// out of the key.
+// are a pure function of (experiment, study hash, format).
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := core.ByID(id)
@@ -30,13 +29,8 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	par, ok := pickPar(w, r)
-	if !ok {
-		return
-	}
 	tr := runlog.TraceFrom(r.Context())
 	tr.SetTarget(id+"/timeseries", format)
-	tr.SetPar(par)
 	key := fmt.Sprintf("ts\x00%s\x00%s\x00%s", e.ID, s.hash, format)
 	if s.clusterForward(w, r, tr, key) {
 		return
@@ -46,8 +40,6 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	sp := tr.Start("cache")
 	val, outcome, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		return s.adm.Do(ctx, func() ([]byte, error) {
-			detach := sim.BindParallelism(par)
-			defer detach()
 			return s.renderTimeseries(tr, *e, format)
 		})
 	})

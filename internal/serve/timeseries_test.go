@@ -33,23 +33,10 @@ func TestTimeseriesColdWarmEquivalence(t *testing.T) {
 	}
 }
 
-// TestTimeseriesParIndependence: par is a host execution knob, not a cache
-// key — the series are byte-identical at every worker count, so computes on
-// fresh servers at different par levels must agree.
+// TestTimeseriesParIndependence: ?par= is no cache key and selects
+// nothing on the timeseries route either.
 func TestTimeseriesParIndependence(t *testing.T) {
-	render := func(par string) []byte {
-		s := New(Config{})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		status, body, xc := get(t, ts, "/v1/experiments/PD1/timeseries?format=csv&par="+par)
-		if status != http.StatusOK || xc != "miss" {
-			t.Fatalf("par=%s: status=%d X-Cache=%q body=%s", par, status, xc, body)
-		}
-		return body
-	}
-	if a, b := render("1"), render("8"); !bytes.Equal(a, b) {
-		t.Error("timeseries differ between par=1 and par=8")
-	}
+	checkParIgnored(t, "/v1/experiments/PD1/timeseries?format=csv")
 }
 
 // TestTimeseriesContent: the PD1 fleet series carry the contended-phase
@@ -88,7 +75,7 @@ func TestTimeseriesContent(t *testing.T) {
 	}
 }
 
-// TestTimeseriesErrorPaths: unknown ids 404, bad formats and par values 400,
+// TestTimeseriesErrorPaths: unknown ids 404, bad formats 400,
 // and the registered route only answers GET.
 func TestTimeseriesErrorPaths(t *testing.T) {
 	s := New(Config{})
@@ -101,8 +88,6 @@ func TestTimeseriesErrorPaths(t *testing.T) {
 	}{
 		{"/v1/experiments/NOPE/timeseries", http.StatusNotFound},
 		{"/v1/experiments/PD1/timeseries?format=xml", http.StatusBadRequest},
-		{"/v1/experiments/PD1/timeseries?par=0", http.StatusBadRequest},
-		{"/v1/experiments/PD1/timeseries?par=banana", http.StatusBadRequest},
 	} {
 		if status, body, _ := get(t, ts, c.path); status != c.want {
 			t.Errorf("GET %s: status %d, want %d (body %s)", c.path, status, c.want, body)

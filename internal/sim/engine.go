@@ -10,7 +10,7 @@
 //
 // An engine is born with a single partition and behaves exactly like a
 // classic sequential event loop. AddPartition splits the simulation into
-// additional logical processes for conservative parallel execution
+// additional logical processes run in lookahead-bounded quantum windows
 // (partition.go); single-partition engines never touch that machinery.
 //
 // Processes advance time with Proc.Sleep, exchange data through Queue, and
@@ -25,7 +25,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Time is a point in virtual time, measured in CPU cycles. All PCPUs in a
@@ -146,8 +145,7 @@ type shard struct {
 
 // xmsg is a timestamped inter-partition message. Messages are buffered in
 // the sender's outbox and applied at the next quantum barrier in the total
-// order (at, from, seq) — deterministic regardless of how many host
-// threads executed the window.
+// order (at, from, seq), a pure function of message content.
 type xmsg struct {
 	at   Time
 	from PartID
@@ -178,11 +176,10 @@ type xmsg struct {
 // caller.
 //
 // With more than one partition (AddPartition), Run executes the
-// conservative parallel algorithm in partition.go: lookahead-bounded
-// quantum windows in which partitions dispatch concurrently, separated by
-// barriers that exchange cross-partition messages in a deterministic
-// order. The algorithm is identical at every worker count, so output is
-// byte-identical from -par 1 to -par N.
+// conservative algorithm in partition.go: lookahead-bounded quantum
+// windows, each dispatched partition by partition on the run goroutine,
+// separated by barriers that exchange cross-partition messages in a
+// deterministic order.
 type Engine struct {
 	root  shard
 	parts []*shard // parts[0] == &root; more after AddPartition
@@ -192,15 +189,11 @@ type Engine struct {
 	// delay must be >= lookahead, which is what makes a window of that
 	// width safe to dispatch without hearing from other partitions.
 	lookahead Time
-	// workers bounds the host goroutines dispatching windows (default:
-	// the parallelism bound to the creating goroutine, see
-	// BindParallelism). Only meaningful on multi-partition engines.
-	workers int
 	// tel is the telemetry collector bound to the creating goroutine
 	// (BindTelemetry), resolved once by NewEngine.
 	tel any
 	// stopAll requests a full stop at the next quantum barrier.
-	stopAll atomic.Bool
+	stopAll bool
 	// inRun is true while Run/RunUntil is executing. On a multi-partition
 	// engine it separates setup-time calls, which may use the ambient
 	// Engine methods, from run-time calls, which must name their
@@ -217,12 +210,11 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero, an empty queue, and
 // a single partition. It consults the calling goroutine's binding once
 // (and not at all when no goroutine is bound): a bound StatsCollector
-// (CollectStats) registers the engine, the bound parallelism
-// (BindParallelism, default 1) sets the worker count for multi-partition
-// runs, and a bound telemetry collector is kept for Telemetry.
+// (CollectStats) registers the engine, and a bound telemetry collector is
+// kept for Telemetry.
 func NewEngine() *Engine {
 	b := currentBinding()
-	e := &Engine{workers: b.parallelism(), tel: b.tel}
+	e := &Engine{tel: b.tel}
 	e.root.eng = e
 	e.root.id = 0
 	e.root.name = "shared"
@@ -273,9 +265,8 @@ func (e *Engine) Now() Time {
 
 // SetTracer installs a callback invoked for engine-level trace points
 // (process start/exit). Pass nil to disable. On a multi-partition engine
-// the callback runs concurrently from window workers; prefer
-// SetProcTapPart, which identifies the partition so per-partition
-// consumers stay race-free.
+// prefer SetProcTapPart, which identifies the partition so consumers can
+// keep per-partition state.
 func (e *Engine) SetTracer(fn func(t Time, what string)) { e.tracer = fn }
 
 // SetProcTap installs a structured process-lifecycle tap: fn receives the
@@ -287,9 +278,9 @@ func (e *Engine) SetProcTap(fn func(t Time, what, name string)) { e.procTap = fn
 
 // SetProcTapPart installs the partition-aware process-lifecycle tap used
 // on multi-partition engines: fn additionally receives the partition the
-// process belongs to, so consumers can keep per-partition cursors and stay
-// deterministic under parallel dispatch. When set, it takes precedence
-// over SetProcTap.
+// process belongs to, so consumers can keep per-partition cursors whose
+// merge order defines their output. When set, it takes precedence over
+// SetProcTap.
 func (e *Engine) SetProcTapPart(fn func(t Time, part PartID, what, name string)) {
 	e.procTapPart = fn
 }
@@ -415,8 +406,7 @@ func (s *shard) drive() {
 // Run processes events until the queue is empty or Stop is called.
 // Processes still parked when Run returns stay suspended — a later Run may
 // resume them — until Close releases them. On a multi-partition engine
-// Run executes the quantum algorithm (see partition.go) — same results,
-// any worker count.
+// Run executes the quantum algorithm (see partition.go).
 func (e *Engine) Run() {
 	if e.multi {
 		e.runQuanta(0, false)

@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event execution (PDES).
+// Conservative partitioned discrete-event execution (PDES).
 //
 // AddPartition splits an engine into logical processes, each a shard with
 // its own event heap and local clock. Run then proceeds in quantum
@@ -6,22 +6,28 @@
 // L = the lookahead (the minimum cross-partition latency, SetLookahead),
 // every partition may safely dispatch its events in [t, t+L) without
 // hearing from any other partition — a message sent during the window
-// carries a delay >= L, so it lands at or after the window's end. Windows
-// therefore run concurrently, one partition per host worker; at the
-// barrier the coordinator drains every partition's outbox and applies the
-// messages in the total order (at, sender partition, sender send-seq).
+// carries a delay >= L, so it lands at or after the window's end. The
+// run goroutine dispatches each active partition's window in turn, in
+// partition order; at the barrier it drains every partition's outbox and
+// applies the messages in the total order (at, sender partition, sender
+// send-seq).
+//
+// Windows are not dispatched concurrently. A PD1 window holds ~8 events
+// (a few microseconds of host work), which is less than one cross-thread
+// barrier hand-off costs, so a worker pool lost to this loop on every
+// measurement (DESIGN.md §11). Partitions stay because the per-partition
+// heaps are smaller than the single-partition engine's one heap, which
+// makes this loop the faster engine for PD1 even on one goroutine.
 //
 // Determinism: within a window a partition runs the exact sequential
 // (at, seq) loop; the window boundaries depend only on event timestamps;
-// and the barrier merge order is a pure function of message content. No
-// step consults the worker count, so a run's output — every event, every
-// emitted trace record, every counter — is byte-identical from 1 worker
-// to N. Parallelism is purely a host-side execution detail.
+// and the barrier merge order is a pure function of message content. A
+// run's output — every event, every emitted trace record, every counter —
+// is a function of the model alone.
 //
 // Safety rule: all cross-partition interaction must go through SendTo
 // (or spawn-time GoOn). Queues, conds, resources, and waiter wakeups are
-// partition-local; sharing them across partitions is a model bug that the
-// race detector flags in tests.
+// partition-local; sharing them across partitions is a model bug.
 //
 // Partition context: while the engine runs, every partition-local call
 // names its partition through a handle the caller already holds — the
@@ -36,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // AddPartition creates a new partition and returns its id. Partitions must
@@ -77,20 +82,6 @@ func (e *Engine) SetLookahead(d Time) {
 
 // Lookahead returns the configured lookahead (0 if unset).
 func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// SetWorkers overrides the number of host goroutines that dispatch quantum
-// windows (normally inherited from BindParallelism at NewEngine). Values
-// < 1 mean 1. The worker count never affects results, only wall-clock
-// time.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the engine's window-dispatch worker bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // GoOn spawns a process on a specific partition at that partition's
 // current time. It is a setup-time call on a multi-partition engine: a
@@ -184,7 +175,7 @@ func (h Part) Go(name string, body func(p *Proc)) *Proc {
 func (h Part) Stop() {
 	h.s.stopped = true
 	if h.s.eng.multi {
-		h.s.eng.stopAll.Store(true)
+		h.s.eng.stopAll = true
 	}
 }
 
@@ -196,18 +187,9 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 	}
 	e.inRun = true
 	defer func() { e.inRun = false }()
-	e.stopAll.Store(false)
+	e.stopAll = false
 	for _, s := range e.parts {
 		s.stopped = false
-	}
-	workers := e.workers
-	if workers > len(e.parts) {
-		workers = len(e.parts)
-	}
-	var pool *windowPool
-	if workers > 1 {
-		pool = newWindowPool(workers)
-		defer pool.close()
 	}
 	active := make([]*shard, 0, len(e.parts))
 	var msgs []xmsg
@@ -243,26 +225,20 @@ func (e *Engine) runQuanta(deadline Time, hasDeadline bool) {
 				active = append(active, s)
 			}
 		}
-		if pool == nil || len(active) == 1 {
-			for _, s := range active {
-				s.window(limit)
-			}
-		} else {
-			pool.dispatch(active, limit)
-		}
-		// Health counters, coordinator-side (single-threaded at the
-		// barrier): each active shard participated in one window; the gap
+		// The active shards run the window one after another, in partition
+		// order. Health counters: each participated in one window; the gap
 		// between its clock and the window bound is the stall other
 		// partitions could not overlap — a pure function of event
-		// timestamps, so it is identical at every worker count.
+		// timestamps.
 		for _, s := range active {
+			s.window(limit)
 			s.statWindows++
 			if limit != math.MaxInt64 && s.now < limit {
 				s.statStall += int64(limit - s.now)
 			}
 		}
 		msgs = e.drainOutboxes(msgs)
-		if e.stopAll.Load() {
+		if e.stopAll {
 			break
 		}
 	}
@@ -319,41 +295,3 @@ func (e *Engine) drainOutboxes(scratch []xmsg) []xmsg {
 	}
 	return msgs[:0]
 }
-
-// windowPool is the persistent worker set that dispatches quantum windows
-// concurrently. One pool lives for the duration of a Run call; per window
-// the coordinator enqueues the active shards and waits for all of them.
-type windowPool struct {
-	jobs chan windowJob
-	wg   sync.WaitGroup
-}
-
-type windowJob struct {
-	s     *shard
-	limit Time
-}
-
-func newWindowPool(n int) *windowPool {
-	p := &windowPool{jobs: make(chan windowJob)}
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range p.jobs {
-				j.s.window(j.limit)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// dispatch runs one window across the pool and blocks until every active
-// shard has finished it (the barrier).
-func (p *windowPool) dispatch(active []*shard, limit Time) {
-	p.wg.Add(len(active))
-	for _, s := range active {
-		p.jobs <- windowJob{s: s, limit: limit}
-	}
-	p.wg.Wait()
-}
-
-func (p *windowPool) close() { close(p.jobs) }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,15 +14,14 @@ import (
 // cross-partition SendTo messages at randomized legal delays — and returns
 // its complete observable output: per-partition logs merged in partition
 // order, the engine stats, and the parked-proc listing. The workload is a
-// pure function of the seed, so two runs at different worker counts must
-// return identical values.
-func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]string, EngineStats, []string) {
+// pure function of the seed, so any two runs of it must return identical
+// values, whichever goroutine runs them.
+func partitionedRun(t *testing.T, seed int64, deadline Time) ([]string, EngineStats, []string) {
 	t.Helper()
 	const lookahead = 100
 	e := NewEngine()
 	e.SetLookahead(lookahead)
 	parts := []PartID{0, e.AddPartition("p1"), e.AddPartition("p2"), e.AddPartition("p3")}
-	e.SetWorkers(workers)
 
 	logs := make([][]string, len(parts))
 	inboxes := make([]*Queue[int], len(parts))
@@ -85,48 +85,76 @@ func partitionedRun(t *testing.T, workers int, seed int64, deadline Time) ([]str
 	return merged, e.Stats(), e.ParkedProcs()
 }
 
+// partOut is one partitionedRun's complete observable output.
+type partOut struct {
+	log    []string
+	stats  EngineStats
+	parked []string
+}
+
+// runOnWorkers runs partitionedRun(seed, deadline) on n goroutines at
+// once, the way core.RunAll -j and concurrent serve requests run engines,
+// and returns every run's output. Engines share no mutable state, so each
+// must match a run on the calling goroutine; under -race this also
+// checks that they share nothing.
+func runOnWorkers(t *testing.T, n int, seed int64, deadline Time) []partOut {
+	t.Helper()
+	out := make([]partOut, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := &out[i]
+			o.log, o.stats, o.parked = partitionedRun(t, seed, deadline)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // TestPartitionedDeterministicAcrossWorkers is the core byte-identity
-// property: the quantum algorithm's output may not depend on the host
-// worker count.
+// property: the quantum algorithm's output is a function of the workload
+// alone, equal on a repeat run and on runs made concurrently from worker
+// goroutines.
 func TestPartitionedDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		base, baseStats, baseParked := partitionedRun(t, 1, seed, 0)
+		base, baseStats, baseParked := partitionedRun(t, seed, 0)
 		if len(base) == 0 {
 			t.Fatalf("seed %d produced no output", seed)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, gotStats, gotParked := partitionedRun(t, workers, seed, 0)
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("seed %d: workers=%d log diverged from workers=1\nserial: %v\nparallel: %v",
-					seed, workers, base, got)
+		again, againStats, againParked := partitionedRun(t, seed, 0)
+		runs := append(runOnWorkers(t, 4, seed, 0), partOut{again, againStats, againParked})
+		for w, got := range runs {
+			if !reflect.DeepEqual(base, got.log) {
+				t.Fatalf("seed %d: run %d log diverged\nfirst: %v\nrun:   %v", seed, w, base, got.log)
 			}
-			if !reflect.DeepEqual(baseStats, gotStats) {
-				t.Fatalf("seed %d: workers=%d stats %+v != serial %+v", seed, workers, gotStats, baseStats)
+			if !reflect.DeepEqual(baseStats, got.stats) {
+				t.Fatalf("seed %d: run %d stats %+v != %+v", seed, w, got.stats, baseStats)
 			}
-			if !reflect.DeepEqual(baseParked, gotParked) {
-				t.Fatalf("seed %d: workers=%d parked %v != serial %v", seed, workers, gotParked, baseParked)
+			if !reflect.DeepEqual(baseParked, got.parked) {
+				t.Fatalf("seed %d: run %d parked %v != %v", seed, w, got.parked, baseParked)
 			}
 		}
 	}
 }
 
 // TestPartitionedRunUntilAcrossWorkers checks the deadline semantics under
-// the quantum loop: identical truncated output at every worker count, all
-// partition clocks advanced to the deadline, and a later Run picking up
-// the rest.
+// the quantum loop: identical truncated output on every run, including
+// runs made concurrently from worker goroutines, and all partition clocks
+// advanced to the deadline.
 func TestPartitionedRunUntilAcrossWorkers(t *testing.T) {
 	const seed, deadline = 11, 250
-	base, baseStats, baseParked := partitionedRun(t, 1, seed, deadline)
-	for _, workers := range []int{2, 8} {
-		got, gotStats, gotParked := partitionedRun(t, workers, seed, deadline)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d RunUntil log diverged\nserial: %v\nparallel: %v", workers, base, got)
+	base, baseStats, baseParked := partitionedRun(t, seed, deadline)
+	for w, got := range runOnWorkers(t, 2, seed, deadline) {
+		if !reflect.DeepEqual(base, got.log) {
+			t.Fatalf("run %d RunUntil log diverged\nfirst: %v\nrun:   %v", w, base, got.log)
 		}
-		if !reflect.DeepEqual(baseStats, gotStats) {
-			t.Fatalf("workers=%d RunUntil stats %+v != %+v", workers, gotStats, baseStats)
+		if !reflect.DeepEqual(baseStats, got.stats) {
+			t.Fatalf("run %d RunUntil stats %+v != %+v", w, got.stats, baseStats)
 		}
-		if !reflect.DeepEqual(baseParked, gotParked) {
-			t.Fatalf("workers=%d RunUntil parked %v != %v", workers, gotParked, baseParked)
+		if !reflect.DeepEqual(baseParked, got.parked) {
+			t.Fatalf("run %d RunUntil parked %v != %v", w, got.parked, baseParked)
 		}
 	}
 	if baseStats.Cycles != deadline {
@@ -137,14 +165,13 @@ func TestPartitionedRunUntilAcrossWorkers(t *testing.T) {
 // TestPartitionedRunUntilThenRun resumes a deadline-bounded partitioned
 // run and checks the final output equals an unbounded run.
 func TestPartitionedRunUntilThenRun(t *testing.T) {
-	full, fullStats, _ := partitionedRun(t, 4, 3, 0)
+	full, fullStats, _ := partitionedRun(t, 3, 0)
 
 	// Replay the same workload but split the execution at a deadline.
 	// partitionedRun can't express that directly, so rebuild inline.
 	e := NewEngine()
 	e.SetLookahead(50)
 	p1 := e.AddPartition("p1")
-	e.SetWorkers(4)
 	var log []string
 	e.GoOn(p1, "walker", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -317,51 +344,77 @@ func TestGoOnCrossPartitionDuringRunPanics(t *testing.T) {
 	}
 }
 
-// TestBindParallelism: engines inherit the goroutine-bound worker count at
-// creation, the binding nests, and InheritStats carries it to workers.
+// TestBindParallelism: the kept entry point is a no-op. It changes
+// nothing about engines built while it is bound, its detach leaves an
+// outer binding alone, and it binds no stats collector, so a worker
+// goroutine that calls only BindParallelism drops the caller's collector
+// while one that calls InheritStats' bind keeps it.
 func TestBindParallelism(t *testing.T) {
-	if got := NewEngine().Workers(); got != 1 {
-		t.Fatalf("unbound engine workers = %d, want 1", got)
-	}
+	want, _, _ := partitionedRun(t, 5, 0)
 	detach := BindParallelism(4)
-	if got := NewEngine().Workers(); got != 4 {
-		t.Fatalf("bound engine workers = %d, want 4", got)
-	}
-	inner := BindParallelism(2)
-	if got := BoundParallelism(); got != 2 {
-		t.Fatalf("nested BoundParallelism = %d, want 2", got)
-	}
-	inner()
-	if got := BoundParallelism(); got != 4 {
-		t.Fatalf("after nested detach BoundParallelism = %d, want 4", got)
+	got, _, _ := partitionedRun(t, 5, 0)
+	detach()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run under BindParallelism(4) diverged:\n%v\n%v", got, want)
 	}
 
-	// Propagation to a worker goroutine via InheritStats.
-	bind := InheritStats()
-	ch := make(chan int)
-	go func() {
-		det := bind()
-		defer det()
-		ch <- NewEngine().Workers()
-	}()
-	if got := <-ch; got != 4 {
-		t.Fatalf("inherited engine workers = %d, want 4", got)
-	}
-	detach()
-	if got := BoundParallelism(); got != 1 {
-		t.Fatalf("after detach BoundParallelism = %d, want 1", got)
+	col := CollectStats(func() {
+		inner := BindParallelism(2)
+		NewEngine()
+		inner()
+		NewEngine()
+
+		bind := InheritStats()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			det := BindParallelism(4)
+			defer det()
+			NewEngine() // not collected: nothing bound on this goroutine
+		}()
+		<-done
+		done = make(chan struct{})
+		go func() {
+			defer close(done)
+			det := bind()
+			defer det()
+			NewEngine()
+		}()
+		<-done
+	})
+	if n := len(col.PerEngine()); n != 3 {
+		t.Fatalf("collected %d engines, want 3 (two on the caller, one via InheritStats)", n)
 	}
 }
 
-// TestPartitionedEngineStatsMergeOrderIndependent: folding the same
-// snapshots in any order gives one answer (the runlog relies on this).
+// TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge: engines run
+// on worker goroutines that inherit the caller's collector fold into the
+// same snapshot as merging the serial runs' stats one by one.
 func TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge(t *testing.T) {
-	_, s1, _ := partitionedRun(t, 1, 99, 0)
-	_, s8, _ := partitionedRun(t, 8, 99, 0)
-	if !reflect.DeepEqual(s1, s8) {
-		t.Fatalf("stats differ across worker counts: %+v vs %+v", s1, s8)
+	seeds := []int64{99, 100, 101}
+	var want EngineStats
+	for _, seed := range seeds {
+		_, st, _ := partitionedRun(t, seed, 0)
+		if st.Events == 0 || st.ProcsSpawned == 0 {
+			t.Fatalf("implausible stats: %+v", st)
+		}
+		want.Merge(st)
 	}
-	if s1.Events == 0 || s1.ProcsSpawned == 0 {
-		t.Fatalf("implausible stats: %+v", s1)
+	col := CollectStats(func() {
+		bind := InheritStats()
+		var wg sync.WaitGroup
+		for _, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				detach := bind()
+				defer detach()
+				partitionedRun(t, seed, 0)
+			}()
+		}
+		wg.Wait()
+	})
+	if got := col.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("worker snapshot %+v != serial merge %+v", got, want)
 	}
 }

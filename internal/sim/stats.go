@@ -3,7 +3,7 @@
 // processes spawned, the event-heap high-water mark, and the final
 // virtual clock. All of it is driven by the deterministic event sequence,
 // so a run's EngineStats are as reproducible as its tables: identical on
-// every execution, at any parallelism level.
+// every execution, at any -j level of the runners that create engines.
 //
 // StatsCollector gathers those counters across all the engines one
 // logical operation creates (an experiment builds one engine per platform
@@ -14,10 +14,9 @@
 // binding with InheritStats, so collection survives the parallel runners
 // (core.RunAll, bench.RunPhaseBreakdowns) unchanged.
 //
-// The goroutine registry here is the module's only one: the engine
-// parallelism and the telemetry collector (BindTelemetry) live in the
-// same binding, NewEngine resolves it once, and everything built on the
-// engine reads it from there.
+// The goroutine registry here is the module's only one: the telemetry
+// collector (BindTelemetry) lives in the same binding, NewEngine resolves
+// it once, and everything built on the engine reads it from there.
 package sim
 
 import (
@@ -50,8 +49,7 @@ type EngineStats struct {
 	// Windows counts per-partition quantum-window participations,
 	// BarrierStallCycles the simulated cycles partitions lagged the window
 	// bound at barriers, OutboxMsgs the cross-partition messages buffered.
-	// All are functions of event timestamps alone, so they are identical
-	// at every worker count.
+	// All are functions of event timestamps alone.
 	Windows            int64 `json:"windows,omitempty"`
 	BarrierStallCycles int64 `json:"barrier_stall_cycles,omitempty"`
 	OutboxMsgs         int64 `json:"outbox_msgs,omitempty"`
@@ -102,9 +100,9 @@ func (s *EngineStats) Merge(o EngineStats) {
 // Stats returns the engine's work counters, folded across its partitions:
 // events, switches, and spawns sum; HeapHighWater is the deepest partition
 // heap; Cycles is the furthest partition clock. Every term is driven by
-// the deterministic event sequence, so the snapshot is identical at any
-// worker count. Call it only after the engine has gone idle (Run
-// returned); reading mid-run from another goroutine is a data race.
+// the deterministic event sequence, so the snapshot is reproducible. Call
+// it only after the engine has gone idle (Run returned); reading mid-run
+// from another goroutine is a data race.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{Engines: 1}
 	for _, s := range e.parts {
@@ -180,22 +178,12 @@ func (c *StatsCollector) PerEngine() []EngineStats {
 }
 
 // binding is the per-goroutine configuration engines inherit at NewEngine:
-// the stats collector they register with, the window-dispatch parallelism
-// multi-partition engines run at, and the telemetry collector machines
-// sample into (opaque here; see BindTelemetry). Every part is scoped the
-// same way (a detach restores the previous value).
+// the stats collector they register with and the telemetry collector
+// machines sample into (opaque here; see BindTelemetry). Both parts are
+// scoped the same way (a detach restores the previous value).
 type binding struct {
 	col *StatsCollector
-	par int // 0 = unset (engines default to 1 worker)
 	tel any
-}
-
-// parallelism returns the bound worker count (1 when unset).
-func (b binding) parallelism() int {
-	if b.par > 0 {
-		return b.par
-	}
-	return 1
 }
 
 // registry maps goroutine id -> the binding attached to it: the module's
@@ -283,7 +271,7 @@ func goid() uint64 {
 // Bind attaches c to the calling goroutine: every NewEngine on this
 // goroutine registers with c until the returned detach runs. Bindings
 // nest; detach restores the previous one (the goroutine's bound
-// parallelism is untouched). A nil receiver binds nothing and returns a
+// telemetry is untouched). A nil receiver binds nothing and returns a
 // no-op detach.
 func (c *StatsCollector) Bind() (detach func()) {
 	if c == nil {
@@ -292,23 +280,13 @@ func (c *StatsCollector) Bind() (detach func()) {
 	return rebind(func(b *binding) { b.col = c })
 }
 
-// BindParallelism binds an engine-parallelism level to the calling
-// goroutine: every NewEngine on this goroutine until the returned detach
-// runs adopts n as its window-dispatch worker count (the -par knob). The
-// value only matters for multi-partition engines and never affects
-// results, only wall-clock time. Values < 1 are treated as 1. The binding
-// nests and propagates through InheritStats exactly like the stats
-// collector, so worker pools carry it unchanged.
-func BindParallelism(n int) (detach func()) {
-	if n < 1 {
-		n = 1
-	}
-	return rebind(func(b *binding) { b.par = n })
-}
-
-// BoundParallelism returns the engine-parallelism level bound to the
-// calling goroutine (1 when unbound).
-func BoundParallelism() int { return currentBinding().parallelism() }
+// BindParallelism is a no-op kept for callers written when a
+// multi-partition engine could dispatch its quantum windows on n host
+// workers. Every engine now runs its windows on the run goroutine (see
+// partition.go), so n is ignored and nothing is bound: the returned
+// detach does nothing. It does not bind a stats collector either, so it
+// cannot stand in for Bind or InheritStats on a worker goroutine.
+func BindParallelism(n int) (detach func()) { return func() {} }
 
 // BindTelemetry attaches a telemetry collector to the calling goroutine:
 // every NewEngine on it until the returned detach runs keeps v, readable
@@ -327,12 +305,11 @@ func BindTelemetry(v any) (detach func()) {
 // goroutine (nil when none).
 func BoundTelemetry() any { return currentBinding().tel }
 
-// InheritStats captures the calling goroutine's stats collector and bound
-// engine parallelism and returns a bind function for a spawned worker
-// goroutine to call at its top; bind returns the worker's detach. With
-// nothing bound, both are no-ops. Worker pools use this so engines
-// created on their workers still register with the spawning request's
-// collector and run at its parallelism:
+// InheritStats captures the calling goroutine's stats collector and
+// returns a bind function for a spawned worker goroutine to call at its
+// top; bind returns the worker's detach. With nothing bound, both are
+// no-ops. Worker pools use this so engines created on their workers still
+// register with the spawning request's collector:
 //
 //	bind := sim.InheritStats()
 //	go func() {
@@ -341,13 +318,12 @@ func BoundTelemetry() any { return currentBinding().tel }
 //		...
 //	}()
 func InheritStats() (bind func() (detach func())) {
-	cur := currentBinding()
-	col, par := cur.col, cur.par
+	col := currentBinding().col
 	return func() func() {
-		if col == nil && par == 0 {
+		if col == nil {
 			return func() {}
 		}
-		return rebind(func(b *binding) { b.col, b.par = col, par })
+		return rebind(func(b *binding) { b.col = col })
 	}
 }
 

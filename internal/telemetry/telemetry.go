@@ -13,15 +13,14 @@
 // are as reproducible as its tables.
 //
 // Like obs.Recorder, a Sampler on a partitioned machine splits its buffers
-// per engine partition (Partition mirrors hw's layout) so concurrently
-// dispatched quantum windows never share a write target; Series merges the
-// partitions on read in a canonical order. Every hook must therefore be
+// per engine partition (Partition mirrors hw's layout), and Series merges
+// the partitions on read in a canonical order. That merge order defines
+// the bytes PD1's telemetry output is pinned to, so every hook must be
 // invoked from the partition that owns the sampled PCPU (machine-level
 // samples, pcpu < 0, belong to the shared partition 0) — the same
-// discipline the recorder's EmitPart enforces, checked by the race
-// detector in tests. Because per-bucket merge is elementwise sum (or max
-// for gauges), the merged series are byte-identical across -par and -j
-// levels.
+// discipline the recorder's EmitPart enforces. Because per-bucket merge is
+// elementwise sum (or max for gauges), the merged series are
+// byte-identical across runs and -j levels.
 //
 // A nil *Sampler is a valid no-op recorder: every exported method begins
 // with the nil guard, so unsampled runs pay only a nil check (the

@@ -106,7 +106,7 @@ type fleetToken struct {
 }
 
 // Fleet runs a hackbench-style native scenario on every CPU of a machine
-// at once — the workload the parallel engine exists for. Each CPU hosts a
+// at once — the workload the partitioned engine exists for. Each CPU hosts a
 // leader and a ring of worker fibers: per epoch the leader injects tokens
 // that hop worker-to-worker through partition-local queues (lots of
 // sleeping and waking, as §V describes hackbench), collects them, then
@@ -115,14 +115,14 @@ type fleetToken struct {
 // cross-CPU traffic therefore rides the machine's IPI path — exactly the
 // lookahead-bounded channel a partitioned machine routes through SendTo —
 // while the token churn stays CPU-local. The per-CPU checksums fold every
-// hop with its simulated timestamp, so a byte-identical claim across -par
-// levels is falsifiable from the result alone.
+// hop with its simulated timestamp, so a byte-identical claim across runs
+// is falsifiable from the result alone.
 func Fleet(m *hw.Machine, pr FleetParams) FleetResult {
 	pr = pr.withDefaults()
 	eng := m.Eng
 	n := m.NCPU()
 	res := FleetResult{CPUs: n, Parts: eng.Partitions(), PerCPU: make([]FleetCPU, n)}
-	finish := make([]sim.Time, n) // per-CPU slot: leaders may run on parallel partitions
+	finish := make([]sim.Time, n) // per-CPU slot: each leader writes only its own partition's entry
 	wfin := make([]sim.Time, n)   // per-CPU max worker finish (contended phase)
 
 	for c := 0; c < n; c++ {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"armvirt/internal/platform"
@@ -10,32 +11,46 @@ import (
 
 // fleetTelemetryCSV runs the fleet on a partitioned machine under a
 // telemetry collector and renders the full merged series as CSV.
-func fleetTelemetryCSV(t *testing.T, workers int) string {
-	t.Helper()
+func fleetTelemetryCSV() (string, error) {
 	col := telemetry.Collect(10, func() {
-		m := platform.ARMMachinePartitioned()
-		m.Eng.SetWorkers(workers)
-		Fleet(m, fleetTestParams)
+		Fleet(platform.ARMMachinePartitioned(), fleetTestParams)
 	})
 	var b strings.Builder
-	if err := telemetry.WriteCSV(&b, col.SortedSeries()); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
+	err := telemetry.WriteCSV(&b, col.SortedSeries())
+	return b.String(), err
 }
 
 // TestFleetTelemetryDeterministicAcrossWorkers is the telemetry half of the
 // fleet determinism contract: the sampled time series — fed from per-CPU
-// partition buffers merged on read — renders byte-identically at every host
-// worker count and across repeated runs.
+// partition buffers merged on read — renders byte-identically across
+// repeated runs, including runs made concurrently from worker goroutines,
+// each under its own collector.
 func TestFleetTelemetryDeterministicAcrossWorkers(t *testing.T) {
-	base := fleetTelemetryCSV(t, 1)
+	base, err := fleetTelemetryCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base == "" || strings.Count(base, "\n") < 2 {
 		t.Fatalf("degenerate telemetry baseline:\n%s", base)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		if got := fleetTelemetryCSV(t, workers); got != base {
-			t.Fatalf("workers=%d: telemetry series differ from workers=1 baseline\n got:\n%s\nwant:\n%s", workers, got, base)
+	got := make([]string, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := 1; i < len(got); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = fleetTelemetryCSV()
+		}()
+	}
+	got[0], errs[0] = fleetTelemetryCSV()
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != base {
+			t.Fatalf("run %d: telemetry series differ from the first run\n got:\n%s\nwant:\n%s", i, got[i], base)
 		}
 	}
 }
@@ -47,9 +62,7 @@ func TestFleetTelemetryDeterministicAcrossWorkers(t *testing.T) {
 // exercised by the VM experiments; the fleet runs bare fibers.)
 func TestFleetTelemetryContent(t *testing.T) {
 	col := telemetry.Collect(10, func() {
-		m := platform.ARMMachinePartitioned()
-		m.Eng.SetWorkers(4)
-		Fleet(m, FleetParams{Fibers: 8, Tokens: 6, Hops: 15, Epochs: 6, HopCycles: 40,
+		Fleet(platform.ARMMachinePartitioned(), FleetParams{Fibers: 8, Tokens: 6, Hops: 15, Epochs: 6, HopCycles: 40,
 			ContendRounds: 4, ContendCycles: 400})
 	})
 	samplers := col.Samplers()
