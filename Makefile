@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet lint fmt-check bench report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke ci
+.PHONY: all build test race flake vet lint fmt-check loc bench report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke ci
 
 all: build test
 
@@ -22,7 +22,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet as the baseline plus armvirt-vet, the repo's own
-# eight-analyzer suite (determinism, instrumentation, and cross-package
+# seven-analyzer suite (determinism, instrumentation, and cross-package
 # invariants; see DESIGN.md §9 and §14). -timing prints the per-analyzer
 # cost and -budget fails the target if the whole suite ever gets slow
 # enough to tempt people into skipping it.
@@ -36,6 +36,11 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc prints the non-test Go line count (perfbench and analyzer fixtures
+# excluded), the figure each change reports its delta against.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -61,10 +62,13 @@ func main() {
 		*table = true
 	}
 
-	r, err := run(labels, ops, *jobs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "armvirt-prof: %v\n", err)
-		os.Exit(1)
+	// A unit's panic reaches this goroutine (sim.ForEach re-raises it), so
+	// it exits 1 with a message instead of a stack.
+	var r bench.PhaseBreakdownResult
+	if err := cliutil.Recover("profiling failed", func() {
+		r = bench.RunPhaseBreakdowns(labels, ops, *jobs)
+	}); err != nil {
+		fail(err)
 	}
 
 	if *table {
@@ -74,29 +78,23 @@ func main() {
 		fmt.Print(r.Folded())
 	}
 	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create %s: %v\n", *pprofOut, err)
-			os.Exit(1)
-		}
-		if err := r.WritePprof(f); err != nil {
-			fmt.Fprintf(os.Stderr, "write pprof: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "close %s: %v\n", *pprofOut, err)
-			os.Exit(1)
+		if err := cliutil.WriteFile(*pprofOut, r.WritePprof); err != nil {
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d units to %s\n", len(r.Units), *pprofOut)
 	}
 	if *traceOut != "" {
 		n, err := writeTrace(*traceOut, *platformFlag, *opFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "armvirt-prof: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", n, *traceOut)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "armvirt-prof: %v\n", err)
+	os.Exit(1)
 }
 
 // writeTrace profiles op on a fresh label platform again, this time with a
@@ -104,34 +102,14 @@ func main() {
 // and the measured operation — as Chrome trace-event JSON. It returns the
 // number of events recorded.
 func writeTrace(path, label, op string) (n int64, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("profiling failed: %v", rec)
-		}
-	}()
 	h := bench.Factories()[label]()
 	m := h.Machine()
 	rec := obs.NewRecorder(m.NCPU(), 0)
 	m.SetRecorder(rec)
-	micro.ProfileOp(h, op)
-	f, err := os.Create(path)
-	if err != nil {
+	if err := cliutil.Recover("profiling failed", func() { micro.ProfileOp(h, op) }); err != nil {
 		return 0, err
 	}
-	if err := obs.WriteChromeTrace(f, rec, m.Cost.FreqMHz); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return rec.Total(), f.Close()
-}
-
-// run executes the profiling suite, converting a panic in any unit into an
-// error so the process exits non-zero instead of crashing with a stack.
-func run(labels, ops []string, jobs int) (r bench.PhaseBreakdownResult, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("profiling failed: %v", rec)
-		}
-	}()
-	return bench.RunPhaseBreakdowns(labels, ops, jobs), nil
+	return rec.Total(), cliutil.WriteFile(path, func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, rec, m.Cost.FreqMHz)
+	})
 }

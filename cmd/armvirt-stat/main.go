@@ -13,12 +13,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
 
 	"armvirt/internal/bench"
 	"armvirt/internal/blockdev"
+	"armvirt/internal/cliutil"
 	"armvirt/internal/hyp"
 	"armvirt/internal/obs"
 	"armvirt/internal/telemetry"
@@ -27,19 +29,8 @@ import (
 
 var workloads = []string{"tcp_rr", "tick", "oversub", "faultstorm", "disk"}
 
-// runWorkload executes one workload, converting a panic inside the run
-// (model violations panic by design) into an error so the process exits
-// non-zero instead of crashing.
-func runWorkload(h hyp.Hypervisor, name string) (out string, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("workload %s failed: %v", name, rec)
-		}
-	}()
-	return runWorkloadBody(h, name), nil
-}
-
-func runWorkloadBody(h hyp.Hypervisor, name string) string {
+// runWorkload executes one workload and returns its one-line result.
+func runWorkload(h hyp.Hypervisor, name string) string {
 	switch name {
 	case "tcp_rr":
 		r := workload.TCPRRVirt(h, workload.DefaultParams())
@@ -95,7 +86,10 @@ func main() {
 	rec := obs.NewRecorder(m.NCPU(), *ringCap)
 	m.SetRecorder(rec)
 
-	result, err := runWorkload(h, *workloadFlag)
+	var result string
+	err := cliutil.Recover("workload "+*workloadFlag+" failed", func() {
+		result = runWorkload(h, *workloadFlag)
+	})
 	tdetach()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "armvirt-stat: %v\n", err)
@@ -109,17 +103,10 @@ func main() {
 	fmt.Print(sum.Render())
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create %s: %v\n", *traceOut, err)
-			os.Exit(1)
-		}
-		if err := obs.WriteChromeTraceWithCounters(f, rec, m.Cost.FreqMHz, tcol.SortedSeries()); err != nil {
-			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "close %s: %v\n", *traceOut, err)
+		if err := cliutil.WriteFile(*traceOut, func(w io.Writer) error {
+			return obs.WriteChromeTraceWithCounters(w, rec, m.Cost.FreqMHz, tcol.SortedSeries())
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "armvirt-stat: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %d events to %s\n", rec.Total(), *traceOut)

@@ -21,8 +21,6 @@
 //
 //	partsafe     code reachable from sim partitioned dispatch must not
 //	             write package-level state (//armvirt:partshared escapes)
-//	bindcheck    goroutines that reach sim.NewEngine/telemetry.EngineSampler
-//	             must bind the goroutine-scoped collectors first
 //	layering     the deterministic/wall-clock import DAG, checked
 //	errsink      no silently dropped durability errors in cluster/runlog
 //	             (//armvirt:errsink escapes)

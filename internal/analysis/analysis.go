@@ -18,13 +18,11 @@
 // zero-cost idiom (nilrecorder), and unbalanced Span/EndSpan pairs leaving
 // the profiler's phase tree open (spanbalance).
 //
-// Four more analyzers (DESIGN.md §14) work cross-package, over the
+// Three more analyzers (DESIGN.md §14) work cross-package, over the
 // Module fact base built once per Run: partition-dispatch code must not
-// write shared package state (partsafe), spawned goroutines that build
-// engines or samplers must bind the goroutine-scoped collectors first
-// (bindcheck), the deterministic/wall-clock import DAG is checked
-// explicitly (layering), and durability errors in cluster/runlog must
-// not be silently dropped (errsink).
+// write shared package state (partsafe), the deterministic/wall-clock
+// import DAG is checked explicitly (layering), and durability errors in
+// cluster/runlog must not be silently dropped (errsink).
 package analysis
 
 import (
@@ -90,11 +88,11 @@ type Diagnostic struct {
 }
 
 // Analyzers lists the full suite in stable order: the four per-package
-// analyzers from the original suite, then the four cross-package ones.
+// analyzers from the original suite, then the three cross-package ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Detclock, Mapiter, Nilrecorder, Spanbalance,
-		Partsafe, Bindcheck, Layering, Errsink,
+		Partsafe, Layering, Errsink,
 	}
 }
 

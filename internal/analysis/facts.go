@@ -1,23 +1,20 @@
-// Cross-package facts: the module-wide layer under the partsafe and
-// bindcheck analyzers.
+// Cross-package facts: the module-wide layer under the partsafe analyzer.
 //
 // The per-package analyzers from the original suite (detclock, mapiter,
 // nilrecorder, spanbalance) are syntactic: everything they need is visible
-// in one type-checked package. The invariants the partitioned engine
-// (DESIGN.md §11) and the goroutine-bound collectors (§10, §12) introduced
-// are not package-local — whether a function runs inside partitioned
-// dispatch, or whether a spawned goroutine eventually builds an engine,
-// depends on callers and callees in other packages.
+// in one type-checked package. The invariant the partitioned engine
+// (DESIGN.md §11) introduced is not package-local — whether a function
+// runs inside partitioned dispatch depends on callers and callees in other
+// packages.
 //
 // The Module bridges that gap. Built once per Run over every loaded
 // package in dependency order (the same `go list -deps` order Load already
 // computes), it exports one FuncFacts summary per function body — static
 // callees, contained function literals, function values handed to the
-// engine's dispatch APIs, `go` launch sites, package-level-variable
-// writes, and whether the body binds or creates the goroutine-scoped
-// collectors. Downstream packages' analyses import those facts through
-// Pass.Module: a lightweight static call graph, in the x/tools facts
-// spirit, with no dependency outside the standard library.
+// engine's dispatch APIs, and package-level-variable writes. Downstream
+// packages' analyses import those facts through Pass.Module: a
+// lightweight static call graph, in the x/tools facts spirit, with no
+// dependency outside the standard library.
 //
 // The graph is deliberately conservative in both directions and the
 // analyzers that consume it document which way they lean:
@@ -42,14 +39,6 @@ import (
 // declared functions and methods (stable across the packages that mention
 // them), or a position-derived id for function literals.
 type NodeID string
-
-// GoSite is one `go` statement: where it is, and the node it launches
-// (empty when the launched expression is not statically resolvable, e.g. a
-// function value from a variable).
-type GoSite struct {
-	Pos, End token.Pos
-	Target   NodeID
-}
 
 // GlobalWrite is one assignment whose left-hand side is rooted at a
 // package-level variable: `v = x`, `v.f = x`, `v[k] = x`, `v++`,
@@ -79,26 +68,8 @@ type FuncFacts struct {
 	// Part Go/At/After/SendTo): the roots of partitioned-dispatch
 	// reachability.
 	DispatchArgs []NodeID
-	// GoSites are the `go` statements launched from this body.
-	GoSites []GoSite
 	// GlobalWrites are the package-level-variable writes in this body.
 	GlobalWrites []GlobalWrite
-
-	// BindsSim / BindsTelemetry report that the body attaches the
-	// goroutine-scoped collectors: a call to (*sim.StatsCollector).Bind,
-	// sim.CollectStats, or the bind function returned by sim.InheritStats
-	// (resp. the telemetry wrappers
-	// (*telemetry.Collector).Bind, telemetry.Collect and the bind returned
-	// by telemetry.Inherit, or sim.BindTelemetry, the registry entry they
-	// delegate to).
-	BindsSim       bool
-	BindsTelemetry bool
-	// CreatesEngine / CreatesSampler report a direct call to
-	// sim.NewEngine resp. telemetry.EngineSampler. NewEngine is where a
-	// goroutine's binding is consulted; EngineSampler is where its
-	// telemetry half is used, read back from the engine NewEngine built.
-	CreatesEngine  bool
-	CreatesSampler bool
 }
 
 // Module is the cross-package fact base handed to every Pass.
@@ -203,7 +174,6 @@ func litID(fset *token.FileSet, lit *ast.FuncLit) NodeID {
 // factPackage walks one package's files and exports a FuncFacts per
 // function body.
 func (m *Module) factPackage(pkg *Package) {
-	bindVars := collectBindVars(pkg)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -216,14 +186,14 @@ func (m *Module) factPackage(pkg *Package) {
 					continue
 				}
 				ff := m.newFacts(funcID(obj), pkg, displayName(obj), d.Name.Pos())
-				m.walkBody(pkg, bindVars, ff, d.Body)
+				m.walkBody(pkg, ff, d.Body)
 			case *ast.GenDecl:
 				// Function literals in package-level var initializers get
 				// their own nodes (no containing function).
 				ast.Inspect(d, func(n ast.Node) bool {
 					if lit, ok := n.(*ast.FuncLit); ok {
 						ff := m.newFacts(litID(pkg.Fset, lit), pkg, string(litID(pkg.Fset, lit)), lit.Pos())
-						m.walkBody(pkg, bindVars, ff, lit.Body)
+						m.walkBody(pkg, ff, lit.Body)
 						return false
 					}
 					return true
@@ -249,55 +219,6 @@ func displayName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// collectBindVars finds variables assigned from sim.InheritStats() or
-// telemetry.Inherit() anywhere in the package: invoking such a variable
-// is the worker-pool bind idiom (`bind := sim.InheritStats(); go func()
-// { detach := bind(); ... }`).
-func collectBindVars(pkg *Package) map[types.Object]string {
-	out := map[types.Object]string{}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			kind := bindSourceKind(pkg.TypesInfo, call)
-			if kind == "" {
-				return true
-			}
-			if id, ok := as.Lhs[0].(*ast.Ident); ok {
-				if obj := pkg.TypesInfo.Defs[id]; obj != nil {
-					out[obj] = kind
-				} else if obj := pkg.TypesInfo.Uses[id]; obj != nil {
-					out[obj] = kind
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// bindSourceKind classifies calls whose result is a bind function:
-// sim.InheritStats -> "sim", telemetry.Inherit -> "telemetry".
-func bindSourceKind(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	switch {
-	case fn.Pkg().Name() == "sim" && fn.Name() == "InheritStats":
-		return "sim"
-	case fn.Pkg().Name() == "telemetry" && fn.Name() == "Inherit":
-		return "telemetry"
-	}
-	return ""
-}
-
 // calleeFunc resolves a call's static callee to its types.Func, or nil
 // for builtins, conversions, and dynamic function values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -321,7 +242,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // walkBody visits one function body, exporting facts to ff and creating
 // separate nodes (with containment edges) for nested function literals.
-func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, body *ast.BlockStmt) {
+func (m *Module) walkBody(pkg *Package, ff *FuncFacts, body *ast.BlockStmt) {
 	info := pkg.TypesInfo
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -330,19 +251,23 @@ func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]string, ff *Fu
 			id := litID(pkg.Fset, s)
 			ff.Contains = append(ff.Contains, id)
 			sub := m.newFacts(id, pkg, string(id), s.Pos())
-			m.walkBody(pkg, bindVars, sub, s.Body)
+			m.walkBody(pkg, sub, s.Body)
 			return false
 		case *ast.GoStmt:
-			site := GoSite{Pos: s.Pos(), End: s.Call.End()}
-			site.Target = m.launchTarget(pkg, bindVars, ff, s.Call)
-			ff.GoSites = append(ff.GoSites, site)
+			// A launched body runs on another goroutine, outside the
+			// spawner's dispatch: a launched literal gets its own node but
+			// no containment edge, and a launched function no call edge.
 			// The call's arguments still run on the spawning goroutine.
+			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+				id := litID(pkg.Fset, lit)
+				m.walkBody(pkg, m.newFacts(id, pkg, string(id), lit.Pos()), lit.Body)
+			}
 			for _, arg := range s.Call.Args {
 				ast.Inspect(arg, walk)
 			}
 			return false
 		case *ast.CallExpr:
-			m.factCall(pkg, bindVars, ff, s)
+			m.factCall(pkg, ff, s)
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
 				if gw, ok := globalWrite(info, lhs); ok {
@@ -360,39 +285,10 @@ func (m *Module) walkBody(pkg *Package, bindVars map[types.Object]string, ff *Fu
 	ast.Inspect(body, walk)
 }
 
-// launchTarget resolves the node a `go` statement starts: the literal
-// itself, a declared function, or "" when dynamic. A launched literal is
-// walked as its own node but is NOT a containment edge of the spawner —
-// it runs on a different goroutine, which is exactly the distinction
-// bindcheck needs.
-func (m *Module) launchTarget(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, call *ast.CallExpr) NodeID {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		id := litID(pkg.Fset, lit)
-		sub := m.newFacts(id, pkg, string(id), lit.Pos())
-		m.walkBody(pkg, bindVars, sub, lit.Body)
-		return id
-	}
-	if fn := calleeFunc(pkg.TypesInfo, call); fn != nil {
-		return funcID(fn)
-	}
-	return ""
-}
-
-// factCall exports the facts of one call expression: the call edge, the
-// dispatch-argument roots, engine/sampler creation, and collector binds.
-func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *FuncFacts, call *ast.CallExpr) {
+// factCall exports the facts of one call expression: the call edge and
+// the dispatch-argument roots.
+func (m *Module) factCall(pkg *Package, ff *FuncFacts, call *ast.CallExpr) {
 	info := pkg.TypesInfo
-
-	// Bind-function invocation: `bind()` where bind came from
-	// sim.InheritStats() / telemetry.Inherit().
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch bindVars[info.Uses[id]] {
-		case "sim":
-			ff.BindsSim = true
-		case "telemetry":
-			ff.BindsTelemetry = true
-		}
-	}
 
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -409,59 +305,24 @@ func (m *Module) factCall(pkg *Package, bindVars map[types.Object]string, ff *Fu
 	}
 	ff.Calls = append(ff.Calls, funcID(fn))
 
-	pkgName := ""
-	if fn.Pkg() != nil {
-		pkgName = fn.Pkg().Name()
+	if fn.Pkg() == nil || fn.Pkg().Name() != "sim" || !dispatchAPIs[fn.Name()] || !dispatchRecvs[recvName(fn)] {
+		return
 	}
-	switch pkgName {
-	case "sim":
-		switch fn.Name() {
-		case "NewEngine":
-			ff.CreatesEngine = true
-		case "CollectStats":
-			ff.BindsSim = true
-		case "BindTelemetry":
-			ff.BindsTelemetry = true
-		case "Bind":
-			if recvNamed(fn, "StatsCollector") {
-				ff.BindsSim = true
+	for _, arg := range call.Args {
+		if tv, ok := info.Types[arg]; ok {
+			if _, isSig := tv.Type.Underlying().(*types.Signature); !isSig {
+				continue
 			}
 		}
-		if dispatchAPIs[fn.Name()] && dispatchRecvs[recvName(fn)] {
-			for _, arg := range call.Args {
-				if tv, ok := info.Types[arg]; ok {
-					if _, isSig := tv.Type.Underlying().(*types.Signature); !isSig {
-						continue
-					}
-				}
-				switch a := ast.Unparen(arg).(type) {
-				case *ast.FuncLit:
-					ff.DispatchArgs = append(ff.DispatchArgs, litID(pkg.Fset, a))
-				default:
-					if afn := exprFunc(info, a); afn != nil {
-						ff.DispatchArgs = append(ff.DispatchArgs, funcID(afn))
-					}
-				}
-			}
-		}
-	case "telemetry":
-		switch fn.Name() {
-		case "EngineSampler":
-			ff.CreatesSampler = true
-		case "Collect":
-			ff.BindsTelemetry = true
-		case "Bind":
-			if recvNamed(fn, "Collector") {
-				ff.BindsTelemetry = true
+		switch a := ast.Unparen(arg).(type) {
+		case *ast.FuncLit:
+			ff.DispatchArgs = append(ff.DispatchArgs, litID(pkg.Fset, a))
+		default:
+			if afn := exprFunc(info, a); afn != nil {
+				ff.DispatchArgs = append(ff.DispatchArgs, funcID(afn))
 			}
 		}
 	}
-}
-
-// recvNamed reports whether fn is a method whose receiver's named type is
-// called name.
-func recvNamed(fn *types.Func, name string) bool {
-	return recvName(fn) == name
 }
 
 // recvName returns the name of fn's receiver type ("" for functions and
@@ -550,12 +411,6 @@ func (m *Module) DispatchReachable() map[NodeID]bool {
 		m.dispatchReach = m.closure(seeds)
 	})
 	return m.dispatchReach
-}
-
-// Reach returns the closure of call + containment edges from one node
-// (the node itself included).
-func (m *Module) Reach(start NodeID) map[NodeID]bool {
-	return m.closure([]NodeID{start})
 }
 
 func (m *Module) closure(seeds []NodeID) map[NodeID]bool {

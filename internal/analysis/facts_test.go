@@ -35,11 +35,10 @@ func TestModuleDepOrder(t *testing.T) {
 	}
 }
 
-// TestModuleFacts pins the per-function summaries the analyzers consume:
-// call edges, dispatch roots, go sites, global writes, and the
-// bind/create flags.
+// TestModuleFacts pins the per-function summaries partsafe consumes: call
+// edges, dispatch roots, and global writes.
 func TestModuleFacts(t *testing.T) {
-	pkgs := loadFixtures(t, "sim", "telemetry", "sim/partsafe", "bindcheck")
+	pkgs := loadFixtures(t, "sim", "sim/partsafe")
 	m := NewModule(pkgs)
 
 	// Named functions fact under their types.Func full name.
@@ -62,31 +61,6 @@ func TestModuleFacts(t *testing.T) {
 	}
 	if reach[NodeID("sim/partsafe.Host")] {
 		t.Error("Host is dispatch-reachable but is never handed to the engine")
-	}
-
-	// Go sites: BadNamed launches a resolvable named function.
-	bad := m.Funcs[NodeID("bindcheck.BadNamed")]
-	if bad == nil || len(bad.GoSites) != 1 {
-		t.Fatalf("BadNamed facts = %+v, want exactly one go site", bad)
-	}
-	if bad.GoSites[0].Target != NodeID("bindcheck.buildAndRun") {
-		t.Errorf("BadNamed go target = %q, want bindcheck.buildAndRun", bad.GoSites[0].Target)
-	}
-
-	// Dynamic launches have no target.
-	dyn := m.Funcs[NodeID("bindcheck.Dynamic")]
-	if dyn == nil || len(dyn.GoSites) != 1 || dyn.GoSites[0].Target != "" {
-		t.Errorf("Dynamic facts = %+v, want one go site with empty target", dyn)
-	}
-
-	// Bind/create flags on named functions.
-	br := m.Funcs[NodeID("bindcheck.buildAndRun")]
-	if br == nil || !br.CreatesEngine || br.BindsSim {
-		t.Errorf("buildAndRun facts = %+v, want CreatesEngine and no BindsSim", br)
-	}
-	bound := m.Funcs[NodeID("bindcheck.boundRun")]
-	if bound == nil || !bound.CreatesEngine || !bound.BindsSim {
-		t.Errorf("boundRun facts = %+v, want CreatesEngine and BindsSim", bound)
 	}
 
 	// Function literals fact under position-derived IDs contained by

@@ -16,8 +16,9 @@ func WriteJSON(w io.Writer, v any) error {
 }
 
 // WriteRowsJSON writes the results' machine-readable rows as an array of
-// row arrays, one per result in argument order — the shared shape of
-// armvirt-micro/-apps -json output.
+// row arrays, one per result in argument order — the shape of serve's
+// ?format=rows bodies. armvirt-report -only <ID> -json carries the same
+// rows inside its report object.
 func WriteRowsJSON(w io.Writer, results ...Result) error {
 	out := make([][]Row, len(results))
 	for i, r := range results {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"armvirt/internal/micro"
 	"armvirt/internal/obs"
 	"armvirt/internal/sim"
-	"armvirt/internal/telemetry"
 )
 
 // PhaseUnit is one profiled (platform, operation) pair: the measured
@@ -49,9 +47,11 @@ func TracedOpNames() []string {
 
 // RunPhaseBreakdowns profiles each op (default micro.TracedOps) on each
 // platform (default the paper's four). parallelism bounds concurrent
-// units (< 1 = serial); every unit builds a private platform, and results
-// are assembled by index, so output is byte-identical across parallelism
-// levels and repeated runs.
+// units (< 1 = serial); units run on sim.ForEach workers, which carry the
+// caller's engine-stats and telemetry bindings. Every unit builds a
+// private platform, and results are assembled by index, so output is
+// byte-identical across parallelism levels and repeated runs. A panic in
+// a unit (an unknown op) reaches the caller.
 func RunPhaseBreakdowns(labels, ops []string, parallelism int) PhaseBreakdownResult {
 	if len(labels) == 0 {
 		labels = Platforms
@@ -61,53 +61,25 @@ func RunPhaseBreakdowns(labels, ops []string, parallelism int) PhaseBreakdownRes
 	}
 	f := Factories()
 	type job struct{ label, op string }
-	var jobsList []job
+	var jobs []job
 	for _, l := range labels {
 		if f[l] == nil {
 			panic("bench: unknown platform " + l)
 		}
 		for _, op := range ops {
-			jobsList = append(jobsList, job{l, op})
+			jobs = append(jobs, job{l, op})
 		}
 	}
-	units := make([]PhaseUnit, len(jobsList))
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > len(jobsList) {
-		parallelism = len(jobsList)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	// Workers inherit the caller's engine-stats and telemetry bindings so
-	// the engines each unit builds register with the caller's
-	// sim.StatsCollector and machines sample into its telemetry.Collector.
-	bind := sim.InheritStats()
-	tbind := telemetry.Inherit()
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			detach := bind()
-			defer detach()
-			tdetach := tbind()
-			defer tdetach()
-			for i := range jobs {
-				j := jobsList[i]
-				pr := micro.ProfileOp(f[j.label](), j.op)
-				units[i] = PhaseUnit{
-					Platform: j.label, Op: j.op, Name: pr.Name,
-					FreqMHz: pr.FreqMHz, Cycles: int64(pr.Cycles),
-					Entries: pr.Profile.Entries(), Tree: pr.Profile.Tree(),
-				}
-			}
-		}()
-	}
-	for i := range jobsList {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	units := make([]PhaseUnit, len(jobs))
+	sim.ForEach(len(jobs), parallelism, func(i int) {
+		j := jobs[i]
+		pr := micro.ProfileOp(f[j.label](), j.op)
+		units[i] = PhaseUnit{
+			Platform: j.label, Op: j.op, Name: pr.Name,
+			FreqMHz: pr.FreqMHz, Cycles: int64(pr.Cycles),
+			Entries: pr.Profile.Entries(), Tree: pr.Profile.Tree(),
+		}
+	})
 	return PhaseBreakdownResult{Units: units}
 }
 

@@ -99,3 +99,23 @@ func TestPhaseBreakdownRows(t *testing.T) {
 		t.Errorf("row phase sum %v != total row %v", phaseSum, total)
 	}
 }
+
+// TestPhaseBreakdownUnitPanicReachesCaller: a unit that panics on a worker
+// re-panics on the calling goroutine with the same message, so a recover
+// in the caller (armvirt-prof, serve's admission) turns it into an error
+// instead of the process dying.
+func TestPhaseBreakdownUnitPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		ops     []string
+		workers int
+	}{{[]string{"bogus"}, 1}, {[]string{"hypercall", "bogus", "vmswitch"}, 4}} {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			RunPhaseBreakdowns([]string{"KVM ARM"}, tc.ops, tc.workers)
+			return nil
+		}()
+		if got != "micro: unknown profiled op bogus" {
+			t.Errorf("ops %v j=%d: recovered %v, want the unit's panic", tc.ops, tc.workers, got)
+		}
+	}
+}

@@ -1,13 +1,15 @@
-// Package cliutil keeps the study CLIs' shared flags consistent. Their one
+// Package cliutil holds the boilerplate the study CLIs share. Their one
 // parallelism knob is -j N: how many experiments or profiling units run
 // concurrently, each on its own private engine. Output order is fixed, so
 // results are byte-identical at any -j; the knob only trades host
 // wall-clock time. Invalid values exit with status 2, the CLIs' usage-error
-// convention.
+// convention. Model violations panic by design; Recover turns such a
+// panic into an error, so a CLI exits 1 with a message instead of a stack.
 package cliutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -17,4 +19,30 @@ func CheckJobs(n int) {
 		fmt.Fprintf(os.Stderr, "-j %d out of range: need at least 1 worker\n", n)
 		os.Exit(2)
 	}
+}
+
+// Recover runs fn and returns a panic in it as the error "what: value".
+// It returns nil when fn returns normally.
+func Recover(what string, fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s: %v", what, r)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// WriteFile creates path, hands it to write and closes it. Every error it
+// returns names path, and the file is closed whether or not write fails.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"armvirt/internal/bench"
 	"armvirt/internal/sim"
-	"armvirt/internal/telemetry"
 )
 
 // Report pairs an experiment with its outcome: the structured result, or
@@ -57,45 +55,19 @@ func RunOne(e Experiment) (rep Report) {
 // (values < 1 mean serial). Each experiment builds its own platforms and
 // simulation engines, so concurrent runs share no mutable state and the
 // returned reports — and anything rendered from them in order — are
-// byte-identical to a serial run. A cancelled context stops dispatching
-// new experiments; their reports carry the context error.
+// byte-identical to a serial run. Experiments run on sim.ForEach workers,
+// which carry the caller's engine-stats and telemetry bindings. A
+// cancelled context stops starting new experiments; their reports carry
+// the context error.
 func RunAll(ctx context.Context, parallelism int) []Report {
 	exps := Experiments()
 	reports := make([]Report, len(exps))
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > len(exps) {
-		parallelism = len(exps)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	// Workers inherit the caller's engine-stats and telemetry bindings so
-	// engines built inside experiments register with the caller's
-	// sim.StatsCollector and machines sample into its telemetry.Collector.
-	bind := sim.InheritStats()
-	tbind := telemetry.Inherit()
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			detach := bind()
-			defer detach()
-			tdetach := tbind()
-			defer tdetach()
-			for i := range jobs {
-				reports[i] = RunOne(exps[i])
-			}
-		}()
-	}
-	for i := range exps {
+	sim.ForEach(len(exps), parallelism, func(i int) {
 		if err := ctx.Err(); err != nil {
 			reports[i] = Report{Experiment: exps[i], Err: err}
-			continue
+			return
 		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+		reports[i] = RunOne(exps[i])
+	})
 	return reports
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"armvirt/internal/sim"
+	"armvirt/internal/telemetry"
 )
 
 // TestEngineStatsPinned pins the engine work counters of R1 (hundreds of
@@ -35,5 +39,54 @@ func TestEngineStatsPinned(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s engine stats:\n got %+v\nwant %+v", tc.id, got, tc.want)
 		}
+	}
+}
+
+// TestRunAllCarriesBindings: RunAll's workers run under the caller's whole
+// binding, so a parallel study registers exactly the engines and telemetry
+// samplers that running every experiment on the calling goroutine does.
+// The engine-stats snapshot and the canonical telemetry CSV must match
+// byte for byte.
+func TestRunAllCarriesBindings(t *testing.T) {
+	collect := func(run func()) (stats sim.EngineStats, statsJSON []byte, series string) {
+		var col *sim.StatsCollector
+		tcol := telemetry.Collect(10, func() { col = sim.CollectStats(run) })
+		stats = col.Snapshot()
+		statsJSON, err := json.Marshal(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := telemetry.WriteCSV(&b, tcol.SortedSeries()); err != nil {
+			t.Fatal(err)
+		}
+		return stats, statsJSON, b.String()
+	}
+	_, wantJSON, wantCSV := collect(func() {
+		for _, e := range Experiments() {
+			if rep := RunOne(e); rep.Err != nil {
+				t.Errorf("%s: %v", e.ID, rep.Err)
+			}
+		}
+	})
+	got, gotJSON, gotCSV := collect(func() {
+		for _, rep := range RunAll(context.Background(), 4) {
+			if rep.Err != nil {
+				t.Errorf("%s: %v", rep.ID, rep.Err)
+			}
+		}
+	})
+	t.Logf("%d engines, %d telemetry CSV lines", got.Engines, strings.Count(gotCSV, "\n"))
+	if got.Engines == 0 {
+		t.Fatal("RunAll registered no engines with the caller's collector")
+	}
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("engine stats under RunAll(4):\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if strings.Count(wantCSV, "\n") < 2 {
+		t.Fatal("the serial study sampled no telemetry")
+	}
+	if gotCSV != wantCSV {
+		t.Errorf("telemetry CSV under RunAll(4) differs from the serial study (%d vs %d bytes)", len(gotCSV), len(wantCSV))
 	}
 }

@@ -348,7 +348,7 @@ func TestGoOnCrossPartitionDuringRunPanics(t *testing.T) {
 // nothing about engines built while it is bound, its detach leaves an
 // outer binding alone, and it binds no stats collector, so a worker
 // goroutine that calls only BindParallelism drops the caller's collector
-// while one that calls InheritStats' bind keeps it.
+// while a ForEach worker keeps it.
 func TestBindParallelism(t *testing.T) {
 	want, _, _ := partitionedRun(t, 5, 0)
 	detach := BindParallelism(4)
@@ -364,7 +364,6 @@ func TestBindParallelism(t *testing.T) {
 		inner()
 		NewEngine()
 
-		bind := InheritStats()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -373,17 +372,10 @@ func TestBindParallelism(t *testing.T) {
 			NewEngine() // not collected: nothing bound on this goroutine
 		}()
 		<-done
-		done = make(chan struct{})
-		go func() {
-			defer close(done)
-			det := bind()
-			defer det()
-			NewEngine()
-		}()
-		<-done
+		ForEach(1, 1, func(int) { NewEngine() })
 	})
 	if n := len(col.PerEngine()); n != 3 {
-		t.Fatalf("collected %d engines, want 3 (two on the caller, one via InheritStats)", n)
+		t.Fatalf("collected %d engines, want 3 (two on the caller, one via ForEach)", n)
 	}
 }
 
@@ -401,18 +393,7 @@ func TestPartitionedEngineStatsAcrossWorkersMatchSerialMerge(t *testing.T) {
 		want.Merge(st)
 	}
 	col := CollectStats(func() {
-		bind := InheritStats()
-		var wg sync.WaitGroup
-		for _, seed := range seeds {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				detach := bind()
-				defer detach()
-				partitionedRun(t, seed, 0)
-			}()
-		}
-		wg.Wait()
+		ForEach(len(seeds), len(seeds), func(i int) { partitionedRun(t, seeds[i], 0) })
 	})
 	if got := col.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker snapshot %+v != serial merge %+v", got, want)

@@ -10,9 +10,10 @@
 // plus workload simulators). Attachment is by goroutine: CollectStats
 // binds a collector to the calling goroutine for the duration of a
 // function, and every NewEngine on a bound goroutine registers with the
-// bound collector. Worker pools that fan an operation out propagate the
-// binding with InheritStats, so collection survives the parallel runners
-// (core.RunAll, bench.RunPhaseBreakdowns) unchanged.
+// bound collector. Host parallelism goes through ForEach, the module's one
+// worker pool: each of its workers runs under the caller's whole binding,
+// so collection survives the parallel runners (core.RunAll,
+// bench.RunPhaseBreakdowns) unchanged and no caller binds by hand.
 //
 // The goroutine registry here is the module's only one: the telemetry
 // collector (BindTelemetry) lives in the same binding, NewEngine resolves
@@ -285,13 +286,13 @@ func (c *StatsCollector) Bind() (detach func()) {
 // workers. Every engine now runs its windows on the run goroutine (see
 // partition.go), so n is ignored and nothing is bound: the returned
 // detach does nothing. It does not bind a stats collector either, so it
-// cannot stand in for Bind or InheritStats on a worker goroutine.
+// cannot stand in for Bind on a worker goroutine.
 func BindParallelism(n int) (detach func()) { return func() {} }
 
 // BindTelemetry attaches a telemetry collector to the calling goroutine:
 // every NewEngine on it until the returned detach runs keeps v, readable
 // through Engine.Telemetry. sim never looks inside v; the telemetry
-// package's Bind, Inherit and Collect are the typed front end, and this
+// package's Bind and Collect are the typed front end, and this
 // shared registry is what lets one lookup per engine serve both. A nil v
 // binds nothing and returns a no-op detach.
 func BindTelemetry(v any) (detach func()) {
@@ -301,36 +302,62 @@ func BindTelemetry(v any) (detach func()) {
 	return rebind(func(b *binding) { b.tel = v })
 }
 
-// BoundTelemetry returns the telemetry collector bound to the calling
-// goroutine (nil when none).
-func BoundTelemetry() any { return currentBinding().tel }
-
-// InheritStats captures the calling goroutine's stats collector and
-// returns a bind function for a spawned worker goroutine to call at its
-// top; bind returns the worker's detach. With nothing bound, both are
-// no-ops. Worker pools use this so engines created on their workers still
-// register with the spawning request's collector:
+// ForEach calls fn(i) once for every i in [0, n) on min(max(workers, 1),
+// n) worker goroutines and returns when every call has returned; no
+// worker outlives it. It is the module's one host worker pool. Each worker
+// runs under the calling goroutine's whole binding (stats collector and
+// telemetry), so engines built inside fn register with the caller's
+// collectors exactly as they would on the caller. Calls are claimed in
+// index order; callers that need ordered output store results by index.
 //
-//	bind := sim.InheritStats()
-//	go func() {
-//		detach := bind()
-//		defer detach()
-//		...
-//	}()
-func InheritStats() (bind func() (detach func())) {
-	col := currentBinding().col
-	return func() func() {
-		if col == nil {
-			return func() {}
-		}
-		return rebind(func(b *binding) { b.col = col })
+// A panic in fn stops the workers from claiming further calls. Once the
+// calls in flight have returned, ForEach re-raises the first panic value
+// on the calling goroutine, where the caller's recover sees it.
+func ForEach(n, workers int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	workers = min(max(workers, 1), n)
+	b := currentBinding()
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		once   sync.Once
+		panicV any
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			if b.col != nil || b.tel != nil {
+				detach := setBinding(goid(), b)
+				defer detach()
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { panicV = r })
+					failed.Store(true)
+				}
+			}()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() {
+		panic(panicV)
 	}
 }
 
 // CollectStats runs fn with a fresh collector bound to the calling
 // goroutine and returns the collector. Every engine fn creates — directly
-// or on worker goroutines that propagate the binding with InheritStats —
-// is collected.
+// or on ForEach workers, which carry the binding — is collected.
 func CollectStats(fn func()) *StatsCollector {
 	c := NewStatsCollector()
 	detach := c.Bind()

@@ -2,8 +2,9 @@ package sim
 
 import (
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // runSmallSim drives a deterministic two-process simulation on a fresh
@@ -101,25 +102,17 @@ func TestCollectorScoping(t *testing.T) {
 	}
 }
 
-// TestInheritStatsPropagatesToWorkers: the worker-pool idiom carries the
-// caller's binding onto spawned goroutines.
-func TestInheritStatsPropagatesToWorkers(t *testing.T) {
+// TestForEachPropagatesStatsToWorkers: ForEach carries the caller's
+// binding onto its worker goroutines.
+func TestForEachPropagatesStatsToWorkers(t *testing.T) {
 	c := NewStatsCollector()
 	detach := c.Bind()
 	defer detach()
 
-	bind := InheritStats()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := bind()
-			defer d()
-			runSmallSim()
-		}()
+	ForEach(4, 4, func(int) { runSmallSim() })
+	if n := registry.live.Load(); n != 1 {
+		t.Errorf("%d goroutines bound after ForEach, want 1 (the caller)", n)
 	}
-	wg.Wait()
 	if n := len(c.PerEngine()); n != 4 {
 		t.Errorf("collected %d engines from workers, want 4", n)
 	}
@@ -135,15 +128,71 @@ func TestInheritStatsPropagatesToWorkers(t *testing.T) {
 	}
 }
 
-// TestInheritStatsNoBinding: inheriting with nothing bound is a no-op.
-func TestInheritStatsNoBinding(t *testing.T) {
-	bind := InheritStats()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		d := bind()
-		defer d()
+// TestForEachNoBinding: a ForEach with nothing bound leaves its workers
+// unbound, and the registry stays empty.
+func TestForEachNoBinding(t *testing.T) {
+	ForEach(1, 1, func(int) {
 		runSmallSim()
+		if b := currentBinding(); b.col != nil || b.tel != nil {
+			t.Errorf("worker bound to %+v with nothing bound on the caller", b)
+		}
+	})
+}
+
+// TestForEachCallsEachIndexOnce: every index runs exactly once, at most
+// workers calls are in flight, and ForEach returns only after all of them.
+func TestForEachCallsEachIndexOnce(t *testing.T) {
+	for _, tc := range []struct{ n, workers, wantMax int }{
+		{0, 4, 0}, {1, 4, 1}, {7, 0, 1}, {7, 3, 3}, {50, 4, 4},
+	} {
+		calls := make([]atomic.Int32, tc.n)
+		var inFlight, maxInFlight atomic.Int32
+		ForEach(tc.n, tc.workers, func(i int) {
+			cur := inFlight.Add(1)
+			for {
+				m := maxInFlight.Load()
+				if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
+					break
+				}
+			}
+			time.Sleep(100 * time.Microsecond)
+			calls[i].Add(1)
+			inFlight.Add(-1)
+		})
+		for i := range calls {
+			if got := calls[i].Load(); got != 1 {
+				t.Errorf("n=%d workers=%d: index %d ran %d times, want 1", tc.n, tc.workers, i, got)
+			}
+		}
+		if got := maxInFlight.Load(); int(got) > tc.wantMax || (tc.n > 0 && got < 1) {
+			t.Errorf("n=%d workers=%d: %d calls in flight, want 1..%d", tc.n, tc.workers, got, tc.wantMax)
+		}
+		if got := inFlight.Load(); got != 0 {
+			t.Errorf("n=%d workers=%d: returned with %d calls still running", tc.n, tc.workers, got)
+		}
+	}
+}
+
+// TestForEachReraisesPanicOnCaller: a panic in fn reaches the caller's
+// recover with its original value, after the other workers have stopped.
+func TestForEachReraisesPanicOnCaller(t *testing.T) {
+	var running atomic.Int32
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		ForEach(20, 4, func(i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 5 {
+				panic("unit 5 failed")
+			}
+			time.Sleep(100 * time.Microsecond)
+		})
+		return nil
 	}()
-	<-done
+	if got != "unit 5 failed" {
+		t.Fatalf("recovered %v, want the worker's panic value", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d calls still running after ForEach re-panicked", n)
+	}
 }

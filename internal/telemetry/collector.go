@@ -1,11 +1,11 @@
 // Goroutine-scoped sampler binding, mirroring sim's StatsCollector
 // discipline: a Collector bound to a goroutine receives a fresh Sampler
 // from every machine built on that goroutine (hw.New consults
-// EngineSampler), and worker pools propagate the binding with Inherit so
-// collection survives the parallel runners (core.RunAll,
-// bench.RunPhaseBreakdowns) unchanged. The binding is stored in sim's
-// goroutine registry next to the stats collector, so an engine resolves
-// both with one lookup; the goroutine id never reaches simulation output.
+// EngineSampler). The binding is stored in sim's goroutine registry next
+// to the stats collector, so an engine resolves both with one lookup, and
+// sim.ForEach carries both onto its workers: collection survives the
+// parallel runners (core.RunAll, bench.RunPhaseBreakdowns) unchanged. The
+// goroutine id never reaches simulation output.
 package telemetry
 
 import (
@@ -109,19 +109,6 @@ func (c *Collector) Bind() (detach func()) {
 	return sim.BindTelemetry(c)
 }
 
-// Inherit captures the calling goroutine's collector binding and returns a
-// bind function for a spawned worker goroutine, exactly like
-// sim.InheritStats. With nothing bound, both are no-ops.
-func Inherit() (bind func() (detach func())) {
-	c, _ := sim.BoundTelemetry().(*Collector)
-	return func() func() {
-		if c == nil {
-			return func() {}
-		}
-		return sim.BindTelemetry(c)
-	}
-}
-
 // EngineSampler returns a fresh sampler from the collector that was bound
 // to the goroutine that created eng (nil — a valid no-op sampler — when
 // none was). hw.New calls this for every machine it builds: sim.NewEngine
@@ -134,8 +121,8 @@ func EngineSampler(eng *sim.Engine, ncpu, freqMHz int) *Sampler {
 
 // Collect runs fn with a fresh collector (bucketing on intervalUs
 // microseconds) bound to the calling goroutine and returns the collector.
-// Every machine fn builds — directly or on workers that propagate the
-// binding with Inherit — is sampled.
+// Every machine fn builds — directly or on sim.ForEach workers, which
+// carry the binding — is sampled.
 func Collect(intervalUs float64, fn func()) *Collector {
 	c := NewCollector(intervalUs)
 	detach := c.Bind()

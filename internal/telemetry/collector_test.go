@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"armvirt/internal/sim"
@@ -39,47 +38,36 @@ func TestCollectorBinding(t *testing.T) {
 	}
 }
 
-// TestCollectorInherit: worker goroutines re-bind via Inherit so samplers
-// created off the main goroutine land in the same collector, and detach
-// restores the worker's previous (empty) binding.
+// TestCollectorInherit: sim.ForEach workers inherit the collector binding
+// so samplers created off the main goroutine land in the same collector,
+// and the workers' bindings end with ForEach.
 func TestCollectorInherit(t *testing.T) {
 	col := Collect(10, func() {
-		bind := Inherit()
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				detach := bind()
-				defer detach()
-				s := boundSampler(1, 1)
-				if s == nil {
-					t.Error("worker did not inherit the collector binding")
-					return
-				}
-				s.Count(1, 0, CtrNICIRQ, 1)
-			}()
-		}
-		wg.Wait()
+		sim.ForEach(4, 4, func(int) {
+			s := boundSampler(1, 1)
+			if s == nil {
+				t.Error("worker did not inherit the collector binding")
+				return
+			}
+			s.Count(1, 0, CtrNICIRQ, 1)
+		})
 	})
 	if n := len(col.Samplers()); n != 4 {
 		t.Fatalf("samplers = %d, want 4 (one per worker)", n)
 	}
+	if boundSampler(1, 1) != nil {
+		t.Fatal("binding leaked past Collect")
+	}
 }
 
-// TestInheritUnboundIsNoOp: Inherit from an unbound goroutine yields a
-// binder that leaves workers unbound rather than panicking.
+// TestInheritUnboundIsNoOp: sim.ForEach from an unbound goroutine leaves
+// its workers unbound rather than panicking.
 func TestInheritUnboundIsNoOp(t *testing.T) {
-	bind := Inherit()
-	done := make(chan bool)
-	go func() {
-		detach := bind()
-		defer detach()
-		done <- boundSampler(1, 1) == nil
-	}()
-	if !<-done {
-		t.Fatal("worker inherited a collector from an unbound parent")
-	}
+	sim.ForEach(1, 1, func(int) {
+		if boundSampler(1, 1) != nil {
+			t.Error("worker inherited a collector from an unbound parent")
+		}
+	})
 }
 
 // TestSamplerIntervalFromCollector: NewSampler converts the collector's
