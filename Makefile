@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet lint fmt-check loc bench report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke ci
+.PHONY: all build test race flake fuzz-smoke vet lint fmt-check loc bench report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke ci
 
 all: build test
 
@@ -17,6 +17,17 @@ race:
 # test that passes only on a lucky schedule fails here instead of at random.
 flake:
 	$(GO) test -count=20 ./internal/serve ./internal/cluster ./internal/runlog
+
+# fuzz-smoke runs every Fuzz target for 5 s each, on two fuzzing
+# workers: long enough to catch a parser that panics on the first odd
+# input, short enough for every CI run. go test -fuzz takes one target
+# per invocation, hence one line each. For a longer run, call
+# go test -fuzz directly.
+fuzz-smoke:
+	$(GO) test -run '^$$' -parallel 2 -fuzztime 5s -fuzz '^FuzzReadAll$$' ./internal/runlog
+	$(GO) test -run '^$$' -parallel 2 -fuzztime 5s -fuzz '^FuzzS2MapWalk$$' ./internal/mem
+	$(GO) test -run '^$$' -parallel 2 -fuzztime 5s -fuzz '^FuzzTLBConsistency$$' ./internal/mem
+	$(GO) test -run '^$$' -parallel 2 -fuzztime 5s -fuzz '^FuzzDiskHeader$$' ./internal/cluster
 
 vet:
 	$(GO) vet ./...
@@ -187,4 +198,4 @@ cluster-smoke:
 	kill -TERM $$p4; wait $$p4; \
 	echo "cluster-smoke: OK (exactly-once cold, byte identity, rolling drain with zero errors, disk-tier warm restart)"
 
-ci: fmt-check lint build race flake report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke
+ci: fmt-check lint build race flake fuzz-smoke report-diff prof-determinism telemetry-determinism bench-smoke serve-smoke cluster-smoke

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"armvirt/internal/bench"
+	"armvirt/internal/cliutil"
 	"armvirt/internal/cpu"
 	"armvirt/internal/hyp"
 	"armvirt/internal/hyp/kvm"
@@ -55,17 +56,13 @@ func main() {
 		"events":    sweepEvents,
 		"quantum":   sweepQuantum,
 	}
-	run, ok := sweeps[*sweep]
-	if !ok {
-		names := make([]string, 0, len(sweeps))
-		for name := range sweeps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(os.Stderr, "unknown sweep %q; choose one of %v\n", *sweep, names)
-		os.Exit(2)
+	names := make([]string, 0, len(sweeps))
+	for name := range sweeps {
+		names = append(names, name)
 	}
-	res := run()
+	sort.Strings(names)
+	cliutil.CheckChoice("sweep", *sweep, names)
+	res := sweeps[*sweep]()
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

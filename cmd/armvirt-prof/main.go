@@ -19,8 +19,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
-	"strings"
 
 	"armvirt/internal/bench"
 	"armvirt/internal/cliutil"
@@ -29,8 +27,8 @@ import (
 )
 
 func main() {
-	platformFlag := flag.String("platform", "", `profile a single platform ("KVM ARM", "Xen ARM", "KVM x86", "Xen x86", "KVM ARM (VHE)"; default all four paper platforms)`)
-	opFlag := flag.String("op", "", "profile a single operation ("+strings.Join(micro.TracedOps, ", ")+"; default all)")
+	platformFlag := flag.String("platform", "", "profile a single platform ("+cliutil.Quoted(bench.PlatformNames())+"; default all four paper platforms)")
+	opFlag := flag.String("op", "", "profile a single operation ("+cliutil.Quoted(micro.TracedOps)+"; default all)")
 	jobs := flag.Int("j", runtime.NumCPU(), "number of units to profile in parallel")
 	table := flag.Bool("table", false, "print per-phase breakdown tables (default when no output is selected)")
 	folded := flag.Bool("folded", false, "print collapsed-stack flamegraph lines to stdout")
@@ -41,17 +39,11 @@ func main() {
 
 	var labels, ops []string
 	if *platformFlag != "" {
-		if _, ok := bench.Factories()[*platformFlag]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown platform %q\n", *platformFlag)
-			os.Exit(2)
-		}
+		cliutil.CheckChoice("platform", *platformFlag, bench.PlatformNames())
 		labels = []string{*platformFlag}
 	}
 	if *opFlag != "" {
-		if !slices.Contains(micro.TracedOps, *opFlag) {
-			fmt.Fprintf(os.Stderr, "unknown op %q; choose one of %v\n", *opFlag, micro.TracedOps)
-			os.Exit(2)
-		}
+		cliutil.CheckChoice("op", *opFlag, micro.TracedOps)
 		ops = []string{*opFlag}
 	}
 	if *traceOut != "" && (*platformFlag == "" || *opFlag == "") {

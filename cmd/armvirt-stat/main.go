@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"armvirt/internal/bench"
 	"armvirt/internal/blockdev"
@@ -55,8 +53,8 @@ func runWorkload(h hyp.Hypervisor, name string) string {
 }
 
 func main() {
-	platformFlag := flag.String("platform", "KVM ARM", `platform ("KVM ARM", "Xen ARM", "KVM x86", "Xen x86", "KVM ARM (VHE)")`)
-	workloadFlag := flag.String("workload", "tcp_rr", "workload: "+strings.Join(workloads, ", "))
+	platformFlag := flag.String("platform", "KVM ARM", "platform ("+cliutil.Quoted(bench.PlatformNames())+")")
+	workloadFlag := flag.String("workload", "tcp_rr", "workload ("+cliutil.Quoted(workloads)+")")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 	ringCap := flag.Int("ring", 0, "per-CPU event ring capacity (0 = default)")
 	intervalUs := flag.Float64("interval-us", 10, "telemetry sampling bucket, simulated microseconds (counter tracks in -trace-out)")
@@ -67,21 +65,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	factory, ok := bench.Factories()[*platformFlag]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown platform %q; choose one of %v\n", *platformFlag, bench.PlatformNames())
-		os.Exit(2)
-	}
-	if !slices.Contains(workloads, *workloadFlag) {
-		fmt.Fprintf(os.Stderr, "unknown workload %q; choose one of %v\n", *workloadFlag, workloads)
-		os.Exit(2)
-	}
+	cliutil.CheckChoice("platform", *platformFlag, bench.PlatformNames())
+	cliutil.CheckChoice("workload", *workloadFlag, workloads)
 
 	// The telemetry collector must be bound before the factory builds the
 	// machine: hw.New picks its sampler up from the goroutine binding.
 	tcol := telemetry.NewCollector(*intervalUs)
 	tdetach := tcol.Bind()
-	h := factory()
+	h := bench.Factories()[*platformFlag]()
 	m := h.Machine()
 	rec := obs.NewRecorder(m.NCPU(), *ringCap)
 	m.SetRecorder(rec)

@@ -149,14 +149,14 @@ func (m *Module) FuncsOf(importPath string) []NodeID {
 
 // dispatchAPIs is the sim engine surface whose function arguments execute
 // inside partitioned dispatch: spawned process bodies, scheduled
-// callbacks, cross-partition messages, and the tracer/tap hooks the
+// callbacks, cross-partition messages, and the process-lifecycle tap the
 // engine invokes while dispatching. It spans the ambient Engine methods
 // and the explicit-partition handles (a running Proc, an Engine.Part)
 // that replace them inside a multi-partition run.
 var dispatchAPIs = map[string]bool{
 	"Go": true, "GoAt": true, "GoOn": true,
 	"At": true, "After": true, "SendTo": true,
-	"SetTracer": true, "SetProcTap": true, "SetProcTapPart": true,
+	"SetProcTap": true,
 }
 
 // dispatchRecvs are the sim types whose dispatchAPIs methods take

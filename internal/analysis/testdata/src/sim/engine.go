@@ -1,6 +1,6 @@
 // Stand-in engine API for the cross-package analyzers: a named type
-// Engine (dispatch surface Go/GoAt/GoOn/At/After/SendTo plus the tracer
-// hook) and the explicit-partition handles Proc (SendTo) and Part
+// Engine (dispatch surface Go/GoAt/GoOn/At/After/SendTo plus the
+// process-lifecycle tap) and the explicit-partition handles Proc (SendTo) and Part
 // (Go/At/After/SendTo), in a package named sim — which is all partsafe
 // keys on, so fixtures exercise it without importing the real engine. No
 // clocks, no randomness: this file must stay silent under detclock.
@@ -20,7 +20,7 @@ func (e *Engine) GoOn(part int, at int64, body func()) {}
 func (e *Engine) At(at int64, fn func())               {}
 func (e *Engine) After(d int64, fn func())             {}
 func (e *Engine) SendTo(part int, at int64, fn func()) {}
-func (e *Engine) SetTracer(fn func(at int64))          {}
+func (e *Engine) SetProcTap(fn func(at int64))         {}
 func (e *Engine) Run()                                 {}
 func (e *Engine) Part(id int) Part                     { return Part{} }
 

@@ -16,8 +16,8 @@ import (
 // contract made diffable.
 type FleetResult struct {
 	Fleet workload.FleetResult
-	// Events and ProfiledCycles summarize the run's observability
-	// output, proving the partitioned recorder merge is exercised.
+	// Events and ProfiledCycles summarize what the recorder saw on the
+	// partitioned machine.
 	Events         int
 	ProfiledCycles int64
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,5 +63,31 @@ func TestRecover(t *testing.T) {
 	err := Recover("profiling failed", func() { panic("micro: unknown profiled op bogus") })
 	if err == nil || err.Error() != "profiling failed: micro: unknown profiled op bogus" {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestCheckChoice: a valid value returns, and an unknown one exits 2 with
+// every choice quoted in the message. The exit runs in a child copy of
+// the test binary.
+func TestCheckChoice(t *testing.T) {
+	choices := []string{"KVM ARM", "KVM ARM (VHE)"}
+	if os.Getenv("CLIUTIL_CHECK_CHOICE") == "1" {
+		CheckChoice("platform", "nope", choices)
+		return
+	}
+	CheckChoice("platform", "KVM ARM (VHE)", choices)
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCheckChoice$")
+	cmd.Env = append(os.Environ(), "CLIUTIL_CHECK_CHOICE=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("unknown choice: err = %v, want exit status 2", err)
+	}
+	want := `unknown platform "nope"; choose one of "KVM ARM", "KVM ARM (VHE)"` + "\n"
+	if stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 }

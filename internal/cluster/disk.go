@@ -223,7 +223,9 @@ func (d *DiskCache) Get(key string) ([]byte, bool) {
 }
 
 // readVerifyLocked reads one entry's file and verifies header length,
-// key, and value checksum. Called with d.mu held.
+// key, and value checksum. The header's length must account for exactly
+// the indexed file size, so a file rewritten after indexing cannot make
+// the reader allocate more than the file held. Called with d.mu held.
 func (d *DiskCache) readVerifyLocked(e *dentry) ([]byte, bool) {
 	f, err := os.Open(filepath.Join(d.dir, e.file))
 	if err != nil {
@@ -236,7 +238,8 @@ func (d *DiskCache) readVerifyLocked(e *dentry) ([]byte, bool) {
 		return nil, false
 	}
 	var hdr dheader
-	if json.Unmarshal(line, &hdr) != nil || hdr.Key != e.key {
+	if json.Unmarshal(line, &hdr) != nil || hdr.Key != e.key ||
+		hdr.Len < 0 || int64(len(line))+hdr.Len != e.size {
 		return nil, false
 	}
 	val := make([]byte, hdr.Len)

@@ -92,8 +92,8 @@ type Distributor struct {
 }
 
 // deliver stamps the delivery for observability and hands it to the sink.
-// It runs on the target CPU's partition, named by at, so the telemetry
-// count lands in that partition's buffer.
+// It runs on the target CPU's partition, named by at, whose clock stamps
+// the event and the telemetry count.
 func (d *Distributor) deliver(at sim.Part, dv Delivery) {
 	now := at.Now()
 	dv.At = now

@@ -144,10 +144,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Partitioned reports whether each CPU lives on its own engine partition
-// (Config.PartitionPerCPU).
-func (m *Machine) Partitioned() bool { return m.partitioned }
-
 // PartOf returns the engine partition physical CPU cpu lives on: pcpu i is
 // partition i+1 on a partitioned machine (partition 0 holds shared
 // devices), and everything is partition 0 otherwise. Fibers modelling work
@@ -174,21 +170,6 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 	}
 	if r == nil {
 		m.Eng.SetProcTap(nil)
-		m.Eng.SetProcTapPart(nil)
-		return
-	}
-	if m.partitioned {
-		// Mirror the engine layout into the recorder so each partition
-		// owns an event cursor: pcpu i's events land on partition i+1,
-		// everything else on the shared partition 0.
-		cpuPart := make([]int, len(m.CPUs))
-		for i := range cpuPart {
-			cpuPart[i] = i + 1
-		}
-		r.Partition(len(m.CPUs)+1, cpuPart)
-		m.Eng.SetProcTapPart(func(t sim.Time, part sim.PartID, what, name string) {
-			r.EmitPart(t, int(part), obs.ProcEvent, -1, "", -1, what+" "+name, 0)
-		})
 		return
 	}
 	m.Eng.SetProcTap(func(t sim.Time, what, name string) {
@@ -197,21 +178,11 @@ func (m *Machine) SetRecorder(r *obs.Recorder) {
 }
 
 // SetSampler attaches (or, with nil, detaches) a telemetry sampler and
-// wires it into the GIC distributor. On a partitioned machine the sampler
-// is split to mirror the engine layout — pcpu i's samples land in
-// partition buffer i+1 — and the merged series follows the sampler's
-// fixed partition merge order.
+// wires it into the GIC distributor.
 func (m *Machine) SetSampler(s *telemetry.Sampler) {
 	m.Tel = s
 	if m.Dist != nil {
 		m.Dist.Tel = s
-	}
-	if s != nil && m.partitioned {
-		cpuPart := make([]int, len(m.CPUs))
-		for i := range cpuPart {
-			cpuPart[i] = i + 1
-		}
-		s.Partition(len(m.CPUs)+1, cpuPart)
 	}
 }
 

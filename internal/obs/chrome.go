@@ -59,7 +59,9 @@ type ChromeEvent struct {
 
 // WriteChromeTrace renders the recorder's retained events as Chrome
 // trace-event JSON. freqMHz converts cycle timestamps to the microsecond
-// timebase the format expects.
+// timebase the format expects. Enter/exit pairs are matched in event
+// order, which is time order on an unpartitioned machine only; see
+// Recorder.Events.
 func WriteChromeTrace(w io.Writer, rec *Recorder, freqMHz int) error {
 	if freqMHz <= 0 {
 		return fmt.Errorf("obs: freqMHz must be positive, got %d", freqMHz)

@@ -6,7 +6,7 @@ package obs
 // pid 1/2 event tracks. Each sampled machine gets its own counter process
 // (pid 3, 4, ...) and one sample per bucket per track. Counter args are
 // maps — json.Marshal sorts map keys, so the output bytes are as
-// deterministic as the merged series themselves.
+// deterministic as the series themselves.
 
 import (
 	"fmt"
@@ -43,7 +43,7 @@ func WriteChromeTraceWithCounters(w io.Writer, rec *Recorder, freqMHz int, serie
 	return WriteChromeJSON(w, all)
 }
 
-// buildCounterEvents turns merged telemetry snapshots into counter tracks.
+// buildCounterEvents turns telemetry snapshots into counter tracks.
 // Everything iterates the snapshot's already-sorted column order or fixed
 // CPU/bucket ranges, so the event order is a pure function of the series.
 func buildCounterEvents(series []telemetry.Series) []any {

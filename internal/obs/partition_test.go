@@ -7,74 +7,77 @@ import (
 	"armvirt/internal/sim"
 )
 
-// TestPartitionedRecorderMergeOrder: the merged event order of a
-// partitioned recorder is (T, partition, partition-local seq), with Seq
-// renumbered to the merged position — regardless of physical emission
-// interleaving.
+// partitionedEngine returns an engine split into two partitions besides
+// the shared partition 0, with a lookahead of 10 cycles.
+func partitionedEngine() (*sim.Engine, sim.PartID, sim.PartID) {
+	e := sim.NewEngine()
+	e.SetLookahead(10)
+	return e, e.AddPartition("p1"), e.AddPartition("p2")
+}
+
+// TestPartitionedRecorderMergeOrder: fibers on different partitions emit
+// into the recorder's one set of buffers, and Events returns them in
+// emission order — on a partitioned engine that is dispatch order, window
+// by window with partitions in id order — with Seq numbering that order.
 func TestPartitionedRecorderMergeOrder(t *testing.T) {
+	e, p1, p2 := partitionedEngine()
 	r := NewRecorder(2, 64)
-	r.Partition(3, []int{1, 2}) // cpu0 -> part1, cpu1 -> part2
+	emit := func(part sim.PartID, pcpu int, name string, at sim.Time) {
+		e.GoOn(part, name, func(p *sim.Proc) {
+			p.Sleep(at)
+			r.Emit(p.Now(), GuestExit, pcpu, "vm", 0, name, 0)
+		})
+	}
+	// Spawned out of dispatch order to prove the order is the engine's.
+	emit(p2, 1, "cpu1-late", 20)
+	emit(p1, 0, "cpu0-late", 20)
+	emit(p2, 1, "cpu1", 5)
+	emit(0, -1, "shared", 5)
+	emit(p1, 0, "cpu0", 5)
+	e.Run()
 
-	// Emit out of "merge" order to prove the sort is on content.
-	r.Emit(20, GuestExit, 1, "vm", 0, "late-cpu1", 0) // part2 @20
-	r.Emit(10, GuestEnter, 0, "vm", 0, "cpu0", 0)     // part1 @10
-	r.EmitPart(10, 0, ProcEvent, -1, "", -1, "shared", 0)
-	r.Emit(10, GuestExit, 1, "vm", 0, "cpu1", 0) // part2 @10
-	r.Emit(20, IOKick, 0, "vm", 0, "cpu0-late", 0)
-
-	evs := r.Events()
 	var got []string
-	for _, e := range evs {
-		got = append(got, e.Detail)
-	}
-	want := []string{"shared", "cpu0", "cpu1", "cpu0-late", "late-cpu1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged order = %v, want %v", got, want)
-	}
-	for i, e := range evs {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d, want %d", i, e.Seq, i+1)
+	evs := r.Events()
+	for i, ev := range evs {
+		got = append(got, ev.Detail)
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d, want %d", i, ev.Seq, i+1)
 		}
 	}
-	if r.Total() != 5 || r.Count(GuestExit) != 2 {
+	want := []string{"shared", "cpu0", "cpu1", "cpu0-late", "cpu1-late"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("event order = %v, want %v", got, want)
+	}
+	if r.Total() != 5 || r.Count(GuestExit) != 5 {
 		t.Fatalf("counts wrong: total=%d guest-exit=%d", r.Total(), r.Count(GuestExit))
 	}
 }
 
-// TestPartitionAfterEmitPanics: the layout can only change on a fresh
-// recorder.
-func TestPartitionAfterEmitPanics(t *testing.T) {
-	r := NewRecorder(1, 16)
-	r.Emit(1, IOKick, 0, "", -1, "x", 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected Partition after Emit to panic")
-		}
-	}()
-	r.Partition(2, []int{1})
-}
-
-// TestPartitionNilSafe: all new surface stays nil-safe (the zero-cost
-// nil-recorder idiom).
+// TestPartitionNilSafe: a nil recorder stays a free no-op for fibers on a
+// partitioned engine (the zero-cost nil-recorder idiom).
 func TestPartitionNilSafe(t *testing.T) {
+	e, p1, p2 := partitionedEngine()
 	var r *Recorder
-	r.Partition(4, []int{1, 2, 3})
-	r.EmitPart(1, 2, IOKick, -1, "", -1, "x", 0)
-	if r.Partitions() != 0 {
-		t.Fatal("nil recorder should report 0 partitions")
+	for _, part := range []sim.PartID{p1, p2} {
+		e.GoOn(part, "w", func(p *sim.Proc) {
+			r.Span(p, "phase")
+			r.ChargeCycles(p, "work", 10)
+			r.Emit(p.Now(), IOKick, int(part)-1, "", -1, "x", 0)
+			r.EndSpan(p)
+		})
+	}
+	e.Run()
+	if r.Total() != 0 || r.Events() != nil || r.Profile() != nil {
+		t.Fatal("nil recorder reported activity")
 	}
 }
 
 // TestPartitionedProfileMerge: spans charged by fibers on different
-// partitions merge into one deterministic tree in partition order.
+// partitions land in one deterministic tree, in dispatch order.
 func TestPartitionedProfileMerge(t *testing.T) {
 	run := func() string {
-		e := sim.NewEngine()
-		e.SetLookahead(10)
-		p1 := e.AddPartition("p1")
-		p2 := e.AddPartition("p2")
+		e, p1, p2 := partitionedEngine()
 		r := NewRecorder(2, 64)
-		r.Partition(3, []int{1, 2})
 		spawn := func(part sim.PartID, name, phase string, c int64) {
 			e.GoOn(part, name, func(p *sim.Proc) {
 				r.Span(p, phase)
@@ -91,24 +94,19 @@ func TestPartitionedProfileMerge(t *testing.T) {
 	first := run()
 	want := "phase-a;work 40\nphase-b;work 70\n"
 	if first != want {
-		t.Fatalf("merged folded = %q, want %q", first, want)
+		t.Fatalf("folded = %q, want %q", first, want)
 	}
 	if again := run(); again != first {
 		t.Fatalf("folded profile differs on a repeat run:\nfirst: %q\nagain: %q", first, again)
 	}
-	// Merged totals survive ResetProfile + recharge.
 }
 
-// TestPartitionedProfileLeaves: the merged profile of a partitioned
-// recorder keeps the display names its partitions charged under, and its
-// flat view sums one leaf across partitions.
+// TestPartitionedProfileLeaves: the profile of a run on a partitioned
+// engine keeps the display names its fibers charged under, and its flat
+// view sums one leaf across partitions.
 func TestPartitionedProfileLeaves(t *testing.T) {
-	e := sim.NewEngine()
-	e.SetLookahead(10)
-	p1 := e.AddPartition("p1")
-	p2 := e.AddPartition("p2")
+	e, p1, p2 := partitionedEngine()
 	r := NewRecorder(2, 64)
-	r.Partition(3, []int{1, 2})
 	for _, part := range []sim.PartID{p1, p2} {
 		e.GoOn(part, "w", func(p *sim.Proc) {
 			r.Span(p, "phase")

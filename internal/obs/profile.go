@@ -240,36 +240,19 @@ func (pf *Profile) Folded() string { return Folded(pf.Entries()) }
 
 // --- Recorder span API -------------------------------------------------------
 
-// profState is one partition's profiling half: a span tree plus one open
+// profState is the recorder's profiling half: a span tree plus one open
 // span stack per simulated process. It is created lazily on first use so
-// recorders used purely as event buses pay nothing. A single-partition
-// recorder has exactly one; a partitioned recorder keeps one per
-// partition, and Profile merges them in partition order, the order PD1's
-// pinned profile bytes follow.
+// recorders used purely as event buses pay nothing.
 type profState struct {
 	prof  *Profile
 	spans map[*sim.Proc][]*pnode
 }
 
-// partOfProc returns the profiling partition for process p: its engine
-// partition, clamped into the recorder's layout (a process of an
-// unpartitioned machine is partition 0 either way).
-func (r *Recorder) partOfProc(p *sim.Proc) int {
-	if r == nil || r.nparts == 1 || p == nil {
-		return 0
+func (r *Recorder) prof() *profState {
+	if r.profiling == nil {
+		r.profiling = &profState{prof: NewProfile(), spans: map[*sim.Proc][]*pnode{}}
 	}
-	part := int(p.Part())
-	if part < 0 || part >= r.nparts {
-		return 0
-	}
-	return part
-}
-
-func (r *Recorder) prof(part int) *profState {
-	if r.profiling[part] == nil {
-		r.profiling[part] = &profState{prof: NewProfile(), spans: map[*sim.Proc][]*pnode{}}
-	}
-	return r.profiling[part]
+	return r.profiling
 }
 
 // cursor returns the node new charges attach to for process p: the top of
@@ -289,7 +272,7 @@ func (r *Recorder) Span(p *sim.Proc, name string) {
 	if r == nil {
 		return
 	}
-	ps := r.prof(r.partOfProc(p))
+	ps := r.prof()
 	ps.spans[p] = append(ps.spans[p], ps.cursor(p).child(ps.prof.slug(name)))
 }
 
@@ -299,7 +282,7 @@ func (r *Recorder) EndSpan(p *sim.Proc) {
 	if r == nil {
 		return
 	}
-	ps := r.profiling[r.partOfProc(p)]
+	ps := r.profiling
 	if ps == nil {
 		return
 	}
@@ -316,46 +299,16 @@ func (r *Recorder) ChargeCycles(p *sim.Proc, name string, c int64) {
 	if r == nil || c <= 0 {
 		return
 	}
-	ps := r.prof(r.partOfProc(p))
+	ps := r.prof()
 	ps.cursor(p).child(ps.prof.slug(name)).self += c
 }
 
-// Profile returns the recorder's span tree (nil if nothing was ever
-// profiled on a nil recorder). On a single-partition recorder this is the
-// live tree. On a partitioned recorder it is a fresh merge of the
-// per-partition trees in partition order — a pure function of the
-// recorded content, and the order PD1's pinned profile bytes follow.
+// Profile returns the recorder's live span tree (nil on a nil recorder).
 func (r *Recorder) Profile() *Profile {
 	if r == nil {
 		return nil
 	}
-	if r.nparts == 1 {
-		return r.prof(0).prof
-	}
-	merged := NewProfile()
-	for part := 0; part < r.nparts; part++ {
-		ps := r.profiling[part]
-		if ps == nil {
-			continue
-		}
-		for _, e := range ps.prof.Entries() {
-			merged.addPath(e.Stack, e.Cycles)
-		}
-		for name, s := range ps.prof.slugs {
-			merged.slugs[name] = s
-		}
-	}
-	return merged
-}
-
-// addPath accumulates cycles at the leaf addressed by the (already
-// slugged) stack, creating interior nodes in first-insertion order.
-func (pf *Profile) addPath(stack []string, cycles int64) {
-	n := pf.root
-	for _, frame := range stack {
-		n = n.child(frame)
-	}
-	n.self += cycles
+	return r.prof().prof
 }
 
 // ResetProfile zeroes all attributed cycles while keeping tree structure
@@ -365,9 +318,7 @@ func (r *Recorder) ResetProfile() {
 	if r == nil {
 		return
 	}
-	for _, ps := range r.profiling {
-		if ps != nil {
-			ps.prof.reset()
-		}
+	if r.profiling != nil {
+		r.profiling.prof.reset()
 	}
 }

@@ -51,7 +51,9 @@ var hypercallReasons = map[string]bool{
 }
 
 // Summarize aggregates a recorder's retained event stream. Safe on a nil
-// or empty recorder (returns an all-zero summary).
+// or empty recorder (returns an all-zero summary). Span assumes the stream
+// is time-ordered, which holds on an unpartitioned machine only; see
+// Recorder.Events.
 func Summarize(rec *Recorder) *Summary {
 	s := &Summary{Counts: map[Kind]int64{}}
 	for _, k := range Kinds {

@@ -202,9 +202,7 @@ type Engine struct {
 	// closed is set by Close; the engine accepts no further work.
 	closed bool
 
-	tracer      func(t Time, what string)
-	procTap     func(t Time, what, name string)
-	procTapPart func(t Time, part PartID, what, name string)
+	procTap func(t Time, what, name string)
 }
 
 // NewEngine returns an engine with the clock at zero, an empty queue, and
@@ -263,41 +261,16 @@ func (e *Engine) Now() Time {
 	return t
 }
 
-// SetTracer installs a callback invoked for engine-level trace points
-// (process start/exit). Pass nil to disable. On a multi-partition engine
-// prefer SetProcTapPart, which identifies the partition so consumers can
-// keep per-partition state.
-func (e *Engine) SetTracer(fn func(t Time, what string)) { e.tracer = fn }
-
-// SetProcTap installs a structured process-lifecycle tap: fn receives the
-// event verb ("start", "exit") and the process name separately, without
-// the string assembly SetTracer's flat form requires. Pass nil to disable.
+// SetProcTap installs the engine's process-lifecycle tap: fn receives the
+// event verb ("start", "exit") and the process name. Pass nil to disable.
 // Observability layers use this to publish fiber lifecycles as typed
 // events.
 func (e *Engine) SetProcTap(fn func(t Time, what, name string)) { e.procTap = fn }
 
-// SetProcTapPart installs the partition-aware process-lifecycle tap used
-// on multi-partition engines: fn additionally receives the partition the
-// process belongs to, so consumers can keep per-partition cursors whose
-// merge order defines their output. When set, it takes precedence over
-// SetProcTap.
-func (e *Engine) SetProcTapPart(fn func(t Time, part PartID, what, name string)) {
-	e.procTapPart = fn
-}
-
-// noteProc reports a process-lifecycle event to the taps. The flat tracer
-// string stays "<what> <name>", which tests and tools depend on.
+// noteProc reports a process-lifecycle event to the tap.
 func (s *shard) noteProc(what string, p *Proc) {
-	e := s.eng
-	if e.tracer != nil {
-		e.tracer(s.now, what+" "+p.name)
-	}
-	if e.procTapPart != nil {
-		e.procTapPart(s.now, s.id, what, p.name)
-		return
-	}
-	if e.procTap != nil {
-		e.procTap(s.now, what, p.name)
+	if fn := s.eng.procTap; fn != nil {
+		fn(s.now, what, p.name)
 	}
 }
 

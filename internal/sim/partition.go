@@ -66,9 +66,6 @@ func (e *Engine) AddPartition(name string) PartID {
 // engine).
 func (e *Engine) Partitions() int { return len(e.parts) }
 
-// PartName returns the diagnostic name of a partition.
-func (e *Engine) PartName(id PartID) string { return e.parts[id].name }
-
 // SetLookahead declares the minimum cross-partition latency: every SendTo
 // delay must be >= d. It bounds the quantum window width; larger lookahead
 // means fewer barriers. Machines derive it from their cost model (the IPI

@@ -72,29 +72,6 @@ func bucketBounds(b int) (lo, hi int64) {
 	return 1 << (b - 1), 1<<b - 1
 }
 
-// Merge folds other's observations into h. Count, sum, min, max and the
-// buckets all combine exactly; merging an empty or nil histogram is a
-// no-op, as is calling Merge on a nil receiver.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.n == 0 {
-		return
-	}
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for b, c := range other.buckets {
-		h.buckets[b] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
 // N returns the observation count.
 func (h *Histogram) N() int64 {
 	if h == nil {

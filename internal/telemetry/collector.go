@@ -58,7 +58,7 @@ func (c *Collector) Samplers() []*Sampler {
 	return append([]*Sampler(nil), c.samplers...)
 }
 
-// SeriesAll returns every sampler's merged series in attachment order.
+// SeriesAll returns every sampler's series in attachment order.
 func (c *Collector) SeriesAll() []Series {
 	if c == nil {
 		return nil
@@ -70,7 +70,7 @@ func (c *Collector) SeriesAll() []Series {
 	return out
 }
 
-// SortedSeries returns every sampler's merged series in a canonical
+// SortedSeries returns every sampler's series in a canonical
 // content order, independent of attachment order — the byte-stable
 // snapshot parallel runners (-j workers attach samplers in host-scheduling
 // order) should render from.

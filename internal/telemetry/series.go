@@ -8,10 +8,9 @@ import (
 	"strings"
 
 	"armvirt/internal/sim"
-	"armvirt/internal/stats"
 )
 
-// Column is one merged series: the key fields plus per-bucket values,
+// Column is one series: the key fields plus per-bucket values,
 // padded to the snapshot's common bucket count.
 type Column struct {
 	Series string  `json:"series"`
@@ -22,7 +21,7 @@ type Column struct {
 	Vals   []int64 `json:"vals"`
 }
 
-// LatencyHist is one CPU's merged IRQ-delivery latency distribution.
+// LatencyHist is one CPU's IRQ-delivery latency distribution.
 type LatencyHist struct {
 	// CPU is the physical CPU (-1 = machine level).
 	CPU int `json:"cpu"`
@@ -36,9 +35,8 @@ type LatencyHist struct {
 	Buckets [][3]int64 `json:"buckets"`
 }
 
-// Series is a merged, deterministic snapshot of a sampler: partition
-// buffers folded in canonical key order, every column padded to the
-// common bucket count.
+// Series is a deterministic snapshot of a sampler: columns in canonical
+// key order, every column padded to the common bucket count.
 type Series struct {
 	NCPU       int           `json:"ncpu"`
 	FreqMHz    int           `json:"freq_mhz"`
@@ -49,53 +47,29 @@ type Series struct {
 	IRQLatency []LatencyHist `json:"irq_latency,omitempty"`
 }
 
-// Series merges the sampler's partition buffers into one canonical
-// snapshot: columns are summed (or elementwise maximized for gauges)
-// across partitions and emitted in sorted key order, histograms merged per
-// CPU. The result is a pure function of the recorded samples — identical
-// at every -j level. Returns an empty snapshot on a nil sampler.
+// Series snapshots the sampler: columns are emitted in sorted key order
+// and padded to the common bucket count, followed by the per-CPU IRQ
+// latency histograms. The result is a pure function of the recorded
+// samples — identical at every -j level. Returns an empty snapshot on a
+// nil sampler.
 func (s *Sampler) Series() Series {
 	if s == nil {
 		return Series{}
 	}
-	out := Series{NCPU: s.ncpu, FreqMHz: s.freqMHz, Interval: int64(s.interval), Samples: s.Samples()}
+	out := Series{NCPU: s.ncpu, FreqMHz: s.freqMHz, Interval: int64(s.interval), Samples: s.samples}
 
-	merged := make(map[Key]*column)
-	hists := make([]*stats.Histogram, s.ncpu+1)
-	for _, ps := range s.parts {
-		for k, c := range ps.cols {
-			m := merged[k]
-			if m == nil {
-				m = &column{max: c.max}
-				merged[k] = m
-			}
-			for b, v := range c.vals {
-				m.add(b, v)
-			}
-		}
-		for i, h := range ps.hist {
-			if h == nil {
-				continue
-			}
-			if hists[i] == nil {
-				hists[i] = stats.NewHistogram()
-			}
-			hists[i].Merge(h)
-		}
-	}
-
-	keys := make([]Key, 0, len(merged))
-	for k := range merged {
+	keys := make([]Key, 0, len(s.cols))
+	for k := range s.cols {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	for _, k := range keys {
-		if n := len(merged[k].vals); n > out.Buckets {
+		if n := len(s.cols[k].vals); n > out.Buckets {
 			out.Buckets = n
 		}
 	}
 	for _, k := range keys {
-		c := merged[k]
+		c := s.cols[k]
 		vals := make([]int64, out.Buckets)
 		copy(vals, c.vals)
 		out.Cols = append(out.Cols, Column{
@@ -103,7 +77,7 @@ func (s *Sampler) Series() Series {
 			Max: c.max, Vals: vals,
 		})
 	}
-	for i, h := range hists {
+	for i, h := range s.hist {
 		if h == nil {
 			continue
 		}

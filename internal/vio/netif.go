@@ -54,7 +54,8 @@ func (n *NetIf) Observe(eng *sim.Engine, rec *obs.Recorder, tel *telemetry.Sampl
 }
 
 // observe publishes one backend ring access; pcpu is unknown at this
-// layer, so events land in the machine-level ring (telemetry partition 0).
+// layer, so events land in the machine-level ring and machine-level
+// telemetry columns.
 func (n *NetIf) observe(path string, arg int64) {
 	if n.eng == nil {
 		return

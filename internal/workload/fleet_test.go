@@ -10,6 +10,7 @@ import (
 	"armvirt/internal/obs"
 	"armvirt/internal/platform"
 	"armvirt/internal/sim"
+	"armvirt/internal/telemetry"
 )
 
 // fleetTestParams is small enough to run in milliseconds but still pushes
@@ -17,8 +18,7 @@ import (
 var fleetTestParams = FleetParams{Fibers: 8, Tokens: 6, Hops: 15, Epochs: 6, HopCycles: 40}
 
 // fleetRun runs the fleet on a partitioned ARM machine and returns
-// everything an observer could compare: the result, the merged event
-// stream, the folded profile and engine stats.
+// everything an observer could compare: the result, the event stream, the folded profile and engine stats.
 func fleetRun(t *testing.T) (FleetResult, []obs.Event, string, sim.EngineStats) {
 	t.Helper()
 	m := platform.ARMMachinePartitioned()
@@ -83,23 +83,70 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetPartitionedMatchesSequential: the same scenario on an
-// unpartitioned machine produces the same simulated outcome — partitioning
-// changes only how the host executes the run.
-func TestFleetPartitionedMatchesSequential(t *testing.T) {
-	seq := hw.New(hw.Config{Arch: cpu.ARM, NCPU: platform.NCPU, Cost: platform.ARMCostModel()})
-	want := Fleet(seq, fleetTestParams)
+// fleetObserved is what the observers attached to a fleet machine saw:
+// the recorder's per-kind counts and folded profile, and the sampler's
+// series.
+type fleetObserved struct {
+	r      FleetResult
+	counts map[obs.Kind]int64
+	folded string
+	series []telemetry.Series
+}
 
-	par, _, _, _ := fleetRun(t)
-	if par.Checksum != want.Checksum || par.Elapsed != want.Elapsed ||
-		par.Hops != want.Hops || par.IPIs != want.IPIs {
-		t.Fatalf("partitioned run diverged from sequential machine:\n got %v\nwant %v", par, want)
+// observeFleet builds a machine with newMachine under a telemetry
+// collector, attaches a recorder and runs the fleet on it.
+func observeFleet(newMachine func() *hw.Machine, p FleetParams) fleetObserved {
+	var o fleetObserved
+	var rec *obs.Recorder
+	col := telemetry.Collect(10, func() {
+		m := newMachine()
+		rec = obs.NewRecorder(m.NCPU(), 1<<12)
+		m.SetRecorder(rec)
+		o.r = Fleet(m, p)
+	})
+	o.counts = make(map[obs.Kind]int64, len(obs.Kinds))
+	for _, k := range obs.Kinds {
+		o.counts[k] = rec.Count(k)
 	}
-	if !reflect.DeepEqual(par.PerCPU, want.PerCPU) {
-		t.Fatalf("per-CPU counters diverged:\n got %+v\nwant %+v", par.PerCPU, want.PerCPU)
+	o.folded = rec.Profile().Folded()
+	o.series = col.SortedSeries()
+	return o
+}
+
+// TestFleetPartitionedMatchesSequential: the same scenario on an
+// unpartitioned machine produces the same simulated outcome, and its
+// observers see the same thing — partitioning changes only how the host
+// executes the run. Checked at the test parameters and at PD1's.
+func TestFleetPartitionedMatchesSequential(t *testing.T) {
+	unpartitioned := func() *hw.Machine {
+		return hw.New(hw.Config{Arch: cpu.ARM, NCPU: platform.NCPU, Cost: platform.ARMCostModel()})
 	}
-	if want.Parts != 1 || par.Parts != platform.NCPU+1 {
-		t.Fatalf("partition counts wrong: seq %d, par %d", want.Parts, par.Parts)
+	for _, p := range []FleetParams{fleetTestParams, {}} {
+		want := observeFleet(unpartitioned, p)
+		got := observeFleet(platform.ARMMachinePartitioned, p)
+		par, seq := got.r, want.r
+		if par.Checksum != seq.Checksum || par.Elapsed != seq.Elapsed ||
+			par.Hops != seq.Hops || par.IPIs != seq.IPIs {
+			t.Fatalf("%+v: partitioned run diverged from sequential machine:\n got %v\nwant %v", p, par, seq)
+		}
+		if !reflect.DeepEqual(par.PerCPU, seq.PerCPU) {
+			t.Fatalf("%+v: per-CPU counters diverged:\n got %+v\nwant %+v", p, par.PerCPU, seq.PerCPU)
+		}
+		if seq.Parts != 1 || par.Parts != platform.NCPU+1 {
+			t.Fatalf("%+v: partition counts wrong: seq %d, par %d", p, seq.Parts, par.Parts)
+		}
+		if got.counts[obs.PhysIRQ] == 0 || got.counts[obs.ProcEvent] == 0 || got.folded == "" || len(got.series) != 1 {
+			t.Fatalf("%+v: degenerate observation: counts %v, folded %q, %d series", p, got.counts, got.folded, len(got.series))
+		}
+		if !reflect.DeepEqual(got.counts, want.counts) {
+			t.Errorf("%+v: recorder counts diverged:\n got %v\nwant %v", p, got.counts, want.counts)
+		}
+		if got.folded != want.folded {
+			t.Errorf("%+v: folded profile diverged:\n got %q\nwant %q", p, got.folded, want.folded)
+		}
+		if !reflect.DeepEqual(got.series, want.series) {
+			t.Errorf("%+v: telemetry series diverged", p)
+		}
 	}
 }
 

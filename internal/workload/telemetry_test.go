@@ -10,7 +10,7 @@ import (
 )
 
 // fleetTelemetryCSV runs the fleet on a partitioned machine under a
-// telemetry collector and renders the full merged series as CSV.
+// telemetry collector and renders the full series as CSV.
 func fleetTelemetryCSV() (string, error) {
 	col := telemetry.Collect(10, func() {
 		Fleet(platform.ARMMachinePartitioned(), fleetTestParams)
@@ -21,10 +21,9 @@ func fleetTelemetryCSV() (string, error) {
 }
 
 // TestFleetTelemetryDeterministicAcrossWorkers is the telemetry half of the
-// fleet determinism contract: the sampled time series — fed from per-CPU
-// partition buffers merged on read — renders byte-identically across
-// repeated runs, including runs made concurrently from worker goroutines,
-// each under its own collector.
+// fleet determinism contract: the sampled time series renders
+// byte-identically across repeated runs, including runs made concurrently
+// from worker goroutines, each under its own collector.
 func TestFleetTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	base, err := fleetTelemetryCSV()
 	if err != nil {
